@@ -2,22 +2,15 @@
 
 Agents each own one house of some type and rank all types with complete
 strict preferences; copies of a type are interchangeable for everyone.
-The solver decides whether a strict-core allocation exists and computes
-it when it does, by repeatedly trading away a sink strongly connected
-component of the pointing graph on remaining types.  A
-brute-force oracle, a classic top-trading-cycles reference for injective
-endowments, a seeded market generator, and text file formats round out
-the package.
+The solver (``htts_solve``, ``solve_with_tiebreak``) decides whether a
+strict-core allocation exists and computes it when it does, by
+repeatedly trading away a sink strongly connected component of the
+pointing graph on remaining types.  Around it sit the validated market
+model, text file formats, a seeded market generator, and two
+references for checking results: a brute-force core oracle for small
+markets and classic top trading cycles for injective endowments.
 """
 
-from .digraph import (
-    Digraph,
-    EmptyGraph,
-    SccPartition,
-    condensation,
-    first_sink_scc,
-    tarjan_scc,
-)
 from .fileformat import (
     ParseError,
     load_market,
@@ -29,11 +22,8 @@ from .fileformat import (
 from .gen import GenParams, InvalidParams, random_market
 from .htts import (
     OpCounter,
-    PointingGraph,
     Segment,
     SolveOutcome,
-    build_pointing_graph,
-    check_feasibility,
     format_segment,
     format_trace,
     htts_solve,
@@ -43,7 +33,6 @@ from .market import (
     Allocation,
     DuplicateInPreferences,
     DuplicateName,
-    EmptyRemainingSet,
     IncompletePreferences,
     Market,
     RawAgent,
@@ -51,8 +40,6 @@ from .market import (
     UnendowedHouseType,
     UnknownName,
     ValidationError,
-    best_house,
-    endowment_count,
     validate_market,
 )
 from .oracle import (
@@ -69,11 +56,8 @@ __all__ = [
     "Allocation",
     "BlockingCertificate",
     "CapExceeded",
-    "Digraph",
     "DuplicateInPreferences",
     "DuplicateName",
-    "EmptyGraph",
-    "EmptyRemainingSet",
     "GenParams",
     "IncompletePreferences",
     "InvalidParams",
@@ -81,24 +65,16 @@ __all__ = [
     "NonInjectiveEndowment",
     "OpCounter",
     "ParseError",
-    "PointingGraph",
     "RawAgent",
     "RawMarket",
-    "SccPartition",
     "Segment",
     "SolveOutcome",
     "UnendowedHouseType",
     "UnknownName",
     "ValidationError",
-    "best_house",
-    "build_pointing_graph",
-    "check_feasibility",
-    "condensation",
-    "endowment_count",
     "enumerate_feasible_allocations",
     "enumerate_strict_core",
     "find_blocking_coalition",
-    "first_sink_scc",
     "format_segment",
     "format_trace",
     "htts_solve",
@@ -109,7 +85,6 @@ __all__ = [
     "serialize_allocation",
     "serialize_market",
     "solve_with_tiebreak",
-    "tarjan_scc",
     "ttc_solve",
     "validate_market",
 ]

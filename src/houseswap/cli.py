@@ -25,9 +25,22 @@ from .market import Market, ValidationError
 from .oracle import CapExceeded, enumerate_strict_core, find_blocking_coalition
 
 
+def _read_text(path: str) -> str:
+    """Decode a UTF-8 input file; an undecodable byte is a ParseError
+    that names its line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            line, f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
+        ) from None
+
+
 def _read_market(path: str) -> Market:
-    with open(path, encoding="utf-8") as f:
-        return load_market(f.read())
+    return load_market(_read_text(path))
 
 
 def _stats_line(counter: OpCounter) -> str:
@@ -63,8 +76,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     market = _read_market(args.market)
-    with open(args.allocation, encoding="utf-8") as f:
-        allocation = parse_allocation_text(f.read(), market)
+    allocation = parse_allocation_text(_read_text(args.allocation), market)
     if not market.feasible_allocation(allocation.assignment):
         print(
             "error: allocation does not match the endowment counts",
@@ -120,6 +132,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return 1
     if not sizes or any(s < 1 for s in sizes):
         print(f"error: invalid size list {args.sizes!r}", file=sys.stderr)
+        return 1
+    if not (math.isfinite(args.ratio) and args.ratio > 0):
+        print(f"error: invalid ratio {args.ratio}", file=sys.stderr)
+        return 1
+    if args.repeats < 1:
+        print(f"error: invalid repeats {args.repeats}", file=sys.stderr)
         return 1
 
     print("H I wall_ns arcs scc feas")

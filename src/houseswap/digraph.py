@@ -1,4 +1,4 @@
-"""Directed graphs and strongly connected components.
+"""Strongly connected components by an iterative Tarjan search.
 
 The solver needs one graph primitive: find an SCC with no outgoing arcs.
 Tarjan's algorithm emits SCCs in reverse topological order of the
@@ -6,54 +6,15 @@ condensation, so the first component it emits is such a sink.  The
 implementation is iterative (explicit stacks) because step graphs can
 have 10**5+ vertices and a recursive DFS would blow the call stack.
 
-Vertices are dense ints ``0..vertex_count-1``.  Adjacency lists are
-deduplicated and kept in ascending order, and depth-first starts default
-to ascending vertex id, which makes every traversal fully deterministic.
+Vertices are dense ints ``0..len(adj)-1``.  With adjacency lists in
+ascending order, as the solver builds them, and depth-first starts in
+ascending vertex id (the default), every traversal is fully
+deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-
-class EmptyGraph(ValueError):
-    """first_sink_scc needs at least one vertex."""
-
-
-@dataclass(frozen=True)
-class Digraph:
-    """Immutable adjacency-list digraph.  Self-loops allowed, parallel
-    arcs collapse at construction."""
-
-    vertex_count: int
-    adj: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_arcs(cls, vertex_count: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
-        out: list[set[int]] = [set() for _ in range(vertex_count)]
-        for u, v in arcs:
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"arc ({u}, {v}) out of range")
-            out[u].add(v)
-        return cls(vertex_count, tuple(tuple(sorted(s)) for s in out))
-
-    def arcs(self) -> Iterator[tuple[int, int]]:
-        for u, neighbors in enumerate(self.adj):
-            for v in neighbors:
-                yield u, v
-
-
-@dataclass(frozen=True)
-class SccPartition:
-    """SCCs in Tarjan emission order plus the vertex-to-component map.
-
-    Emission order is reverse topological on the condensation: if an arc
-    crosses from component A to component B, B appears first.
-    """
-
-    components: tuple[tuple[int, ...], ...]
-    component_of: tuple[int, ...]
 
 
 class SccStats:
@@ -133,56 +94,3 @@ def scc_components(
         if stats is not None:
             stats.vertices_visited += visited
             stats.arcs_scanned += scanned
-
-
-def tarjan_scc(
-    g: Digraph,
-    start_order: Sequence[int] | None = None,
-    stats: SccStats | None = None,
-) -> SccPartition:
-    """Full SCC partition of ``g`` in Tarjan emission order."""
-    components: list[tuple[int, ...]] = []
-    component_of = [-1] * g.vertex_count
-    for component in scc_components(g.adj, start_order, stats):
-        idx = len(components)
-        for v in component:
-            component_of[v] = idx
-        components.append(tuple(sorted(component)))
-    return SccPartition(tuple(components), tuple(component_of))
-
-
-def first_sink_scc(
-    g: Digraph,
-    start_order: Sequence[int] | None = None,
-    stats: SccStats | None = None,
-) -> tuple[int, ...]:
-    """First SCC Tarjan emits: a component with no outgoing arcs.
-
-    Stops traversing as soon as that component is complete.
-    """
-    if g.vertex_count == 0:
-        raise EmptyGraph("graph has no vertices")
-    gen = scc_components(g.adj, start_order, stats)
-    try:
-        component = next(gen)
-    finally:
-        gen.close()
-    return tuple(sorted(component))
-
-
-def condensation(g: Digraph, partition: SccPartition | None = None) -> Digraph:
-    """Contract each SCC of ``g`` to a vertex; always acyclic.
-
-    Vertex ids follow the partition's emission order, arcs between
-    distinct components are kept (deduplicated), arcs inside a component
-    are dropped.
-    """
-    if partition is None:
-        partition = tarjan_scc(g)
-    comp_of = partition.component_of
-    arcs = {
-        (comp_of[u], comp_of[v])
-        for u, v in g.arcs()
-        if comp_of[u] != comp_of[v]
-    }
-    return Digraph.from_arcs(len(partition.components), arcs)

@@ -31,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .digraph import Digraph, SccStats, scc_components
-from .market import AgentId, Allocation, HouseId, Market, best_house
+from .digraph import SccStats, scc_components
+from .market import AgentId, Allocation, HouseId, Market
 from .rng import SplitMix64, fisher_yates
 
 
@@ -79,69 +79,6 @@ class OpCounter:
 
     def total(self) -> int:
         return self.arcs_built + self.scc_work + self.feasibility_comparisons
-
-
-@dataclass(frozen=True)
-class PointingGraph:
-    """Step graph over the remaining house types.
-
-    Vertex ``k`` of ``graph`` is ``houses[k]``; ``houses`` is ascending.
-    """
-
-    houses: tuple[HouseId, ...]
-    graph: Digraph
-
-    def vertex_of(self, house: HouseId) -> int:
-        return self.houses.index(house)
-
-
-def build_pointing_graph(
-    market: Market,
-    remaining_houses: Iterable[HouseId],
-    remaining_agents: Iterable[AgentId],
-) -> PointingGraph:
-    """Pointing graph for one step, from scratch.
-
-    Callers guarantee ``remaining_agents`` is exactly the owner set of
-    ``remaining_houses``.  Arc (h, h') appears when some remaining owner
-    of h top-ranks h' among the remaining types; parallel arcs collapse.
-    """
-    houses = tuple(sorted(remaining_houses))
-    remaining_set = set(houses)
-    pos = {h: k for k, h in enumerate(houses)}
-    arcs = set()
-    for i in remaining_agents:
-        h = market.endowments[i]
-        target = best_house(market, i, remaining_set)
-        arcs.add((pos[h], pos[target]))
-    return PointingGraph(houses, Digraph.from_arcs(len(houses), arcs))
-
-
-def check_feasibility(
-    market: Market,
-    segment_houses: Iterable[HouseId],
-    segment_owners: Iterable[AgentId],
-    remaining_houses: Iterable[HouseId],
-) -> bool:
-    """Supply-equals-demand test for a candidate segment.
-
-    For every house type in the segment, the copies endowed to segment
-    owners must equal the number of segment owners whose favorite
-    remaining type is that house.
-    """
-    segment = set(segment_houses)
-    remaining = set(remaining_houses)
-    owners = list(segment_owners)
-    supply = {h: 0 for h in segment}
-    demand = {h: 0 for h in segment}
-    for i in owners:
-        e = market.endowments[i]
-        if e in supply:
-            supply[e] += 1
-        target = best_house(market, i, remaining)
-        if target in demand:
-            demand[target] += 1
-    return all(supply[h] == demand[h] for h in segment)
 
 
 def htts_solve(market: Market, *, counter: OpCounter | None = None) -> SolveOutcome:

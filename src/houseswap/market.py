@@ -44,10 +44,6 @@ class UnendowedHouseType(ValidationError):
     """A declared house type that no agent is endowed with."""
 
 
-class EmptyRemainingSet(ValueError):
-    """best_house was asked to choose from an empty set."""
-
-
 @dataclass(frozen=True)
 class RawAgent:
     """One agent line as parsed from a market file, names unresolved."""
@@ -108,9 +104,6 @@ class Market:
         for i, h in enumerate(self.endowments):
             owners[h].append(i)
         return tuple(tuple(o) for o in owners)
-
-    def owners(self, house: HouseId) -> tuple[AgentId, ...]:
-        return self.owners_by_house[house]
 
     def house_name(self, house: HouseId) -> str:
         return self.house_names[house]
@@ -219,23 +212,3 @@ def validate_market(raw: RawMarket) -> Market:
         endowments=tuple(endowments),
         prefs=tuple(prefs),
     )
-
-
-def best_house(market: Market, agent: AgentId, remaining) -> HouseId:
-    """Agent's most preferred house type within ``remaining``.
-
-    Scans the agent's ranking from the top until it hits a member, so the
-    cost is the rank of the answer.  ``remaining`` should support fast
-    membership tests.
-    """
-    if not remaining:
-        raise EmptyRemainingSet(f"no houses remain for agent {agent}")
-    for h in market.prefs[agent]:
-        if h in remaining:
-            return h
-    raise EmptyRemainingSet(f"remaining set contains no known house type")
-
-
-def endowment_count(market: Market, house: HouseId) -> int:
-    """Number of copies of ``house`` in the market (its owner count)."""
-    return len(market.owners_by_house[house])

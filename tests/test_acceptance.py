@@ -32,16 +32,18 @@ from conftest import WORKED_ASSIGNMENT, worked_market
 from houseswap import (
     GenParams,
     OpCounter,
-    best_house,
-    build_pointing_graph,
-    check_feasibility,
-    condensation,
     enumerate_strict_core,
     htts_solve,
     random_market,
     solve_with_tiebreak,
-    tarjan_scc,
     ttc_solve,
+)
+from reference import (
+    best_house,
+    build_pointing_graph,
+    check_feasibility,
+    condensation,
+    tarjan_scc,
 )
 
 # Operation totals stay below OPS_BOUND_C * (H**2 + H*I) on every tested

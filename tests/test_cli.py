@@ -79,6 +79,14 @@ class TestSolve:
         assert main(["solve", str(bad)]) == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_non_utf8_market_names_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.market"
+        bad.write_bytes(b"houses: h1\nagent a endow h1 prefs h1 \xff\n")
+        assert main(["solve", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: invalid UTF-8 byte 0xff\n"
+        )
+
 
 class TestVerify:
     def test_core_member_accepted(self, tmp_path, capsys):
@@ -108,6 +116,14 @@ class TestVerify:
         alloc.write_text("1 gets h2\n")
         assert main(["verify", WORKED, str(alloc)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_utf8_allocation_names_line(self, tmp_path, capsys):
+        alloc = tmp_path / "bad.alloc"
+        alloc.write_bytes(b"1 -> h2\n2 -> h1\n3 -> \xff\n")
+        assert main(["verify", WORKED, str(alloc)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 3: invalid UTF-8 byte 0xff\n"
+        )
 
 
 class TestOracle:
@@ -200,6 +216,21 @@ class TestBench:
         assert main(["bench", "--sizes", "abc"]) == 1
         assert main(["bench", "--sizes", "0"]) == 1
         assert main(["bench", "--sizes", ""]) == 1
+        capsys.readouterr()
+        for option, value in [
+            ("--ratio", "nan"),
+            ("--ratio", "inf"),
+            ("--ratio", "1e400"),
+            ("--ratio", "0"),
+            ("--ratio", "-1"),
+            ("--repeats", "0"),
+            ("--repeats", "-1"),
+        ]:
+            assert main(["bench", "--sizes", "10", option, value]) == 1
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.startswith("error:")
+            assert out.err.count("\n") == 1
 
 
 def test_module_entry_point_smoke():

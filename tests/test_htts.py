@@ -23,14 +23,13 @@ from conftest import (
 from houseswap import (
     GenParams,
     OpCounter,
-    build_pointing_graph,
-    check_feasibility,
     format_segment,
     format_trace,
     htts_solve,
     random_market,
     solve_with_tiebreak,
 )
+from reference import build_pointing_graph, check_feasibility
 
 
 def two_step_empty_core_market():
