@@ -83,6 +83,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
+    # The strict core has at most one member, so the solver's core
+    # settles membership at any size; only other allocations need the
+    # capped brute-force search for a blocking coalition.
+    outcome = htts_solve(market)
+    if outcome.core_found and outcome.allocation == allocation:
+        return 0
     certificate = find_blocking_coalition(market, allocation)
     if certificate is None:
         return 0

@@ -6,9 +6,13 @@ condensation, so the first component it emits is such a sink.  The
 implementation is iterative (explicit stacks) because step graphs can
 have 10**5+ vertices and a recursive DFS would blow the call stack.
 
-Vertices are dense ints ``0..len(adj)-1``.  With adjacency lists in
-ascending order, as the solver builds them, and depth-first starts in
-ascending vertex id (the default), every traversal is fully
+Vertices are ints ``0..len(adj)-1``.  ``adj`` need only support
+``len()`` and indexing: the solver passes an object that builds each row
+on its first read, and a row may be read more than once.  Only vertices
+reachable from the depth-first starts are visited, so a caller that
+passes ``order`` can leave the other vertices without rows.  With
+adjacency lists in ascending order, as the solver builds them, and
+depth-first starts in a fixed order, every traversal is fully
 deterministic.
 """
 
@@ -34,10 +38,11 @@ def scc_components(
 ) -> Iterator[list[int]]:
     """Yield SCCs of an adjacency list in Tarjan emission order.
 
-    ``order`` chooses where depth-first searches start (default ascending
-    id); it can change which sink component comes out first when several
-    exist, but never the partition itself.  Closing the iterator early is
-    fine: traversal work done so far is flushed into ``stats``.
+    ``order`` chooses where depth-first searches start (default every
+    vertex in ascending id); it can change which sink component comes out
+    first when several exist, but never the partition of the vertices it
+    reaches.  Closing the iterator early is fine: traversal work done so
+    far is flushed into ``stats``.
     """
     n = len(adj)
     index = [-1] * n

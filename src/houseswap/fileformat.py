@@ -25,6 +25,12 @@ class ParseError(ValueError):
         self.line = line
 
 
+def _last_line(text: str) -> int:
+    """Number of the file's last line, 1 for an empty file: where an
+    error about something missing from the file is reported."""
+    return max(1, len(text.splitlines()))
+
+
 def _significant_lines(text: str):
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -39,7 +45,7 @@ def parse_market_text(text: str) -> RawMarket:
     try:
         lineno, tokens = next(lines)
     except StopIteration:
-        raise ParseError(0, "missing 'houses:' line") from None
+        raise ParseError(_last_line(text), "missing 'houses:' line") from None
     if tokens[0] != "houses:":
         raise ParseError(lineno, "first line must start with 'houses:'")
     houses = tuple(tokens[1:])
@@ -98,7 +104,9 @@ def parse_allocation_text(text: str, market: Market) -> Allocation:
         assignment[agent] = house
     for i, h in enumerate(assignment):
         if h == -1:
-            raise ParseError(0, f"agent {market.agent_name(i)!r} not assigned")
+            raise ParseError(
+                _last_line(text), f"agent {market.agent_name(i)!r} not assigned"
+            )
     return Allocation(tuple(assignment))
 
 

@@ -2,14 +2,17 @@
 
 The solver repeats one step until no house types remain or a step fails:
 
-1. Build the pointing graph on the remaining house types: an arc
+1. Form the pointing graph on the remaining house types: an arc
    (h, h') means some remaining owner of a copy of h most prefers h'
    among the remaining types.  Every vertex has out-degree at least one,
-   so a sink SCC always exists.
+   so a sink SCC always exists.  A type's row is built only when Tarjan
+   first reads it, so a step never touches the owners of types its
+   search does not reach.
 2. Take the first SCC Tarjan emits; it has no outgoing arcs.  Its house
    types form the step's trading segment, its owners the segment's
-   agents.  Each of those agents is assigned their favorite remaining
-   type, which necessarily lies inside the segment.
+   agents.  Tarjan has read every segment type's row, so each of those
+   agents already holds their favorite remaining type, which necessarily
+   lies inside the segment, and is assigned it.
 3. Check per-type supply equals demand inside the segment: the number of
    copies owned there must equal the number of owners picking that type.
    If any type mismatches, the market has no strict-core allocation and
@@ -21,14 +24,17 @@ unique strict-core allocation.
 
 Each agent carries a cursor over their preference list that only ever
 advances past removed house types, so recomputing favorites costs
-amortized O(house_count) per agent across the whole solve.  Together with
-one linear Tarjan pass per step this keeps total work within
-O(house_count**2 + house_count * agent_count).
+amortized O(house_count) per agent across the whole solve.  A step's
+Tarjan search costs O(house_count) for its arrays plus the rows it
+reads, which is at most every remaining owner once.  This keeps total
+work within O(house_count**2 + house_count * agent_count); in practice a
+step reads only the path from its first root to the first sink.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Mapping
 
 from .digraph import SccStats, scc_components
@@ -66,11 +72,14 @@ class SolveOutcome:
 class OpCounter:
     """Operation counts accumulated during a solve.
 
-    ``arcs_built`` counts owner-pointer emissions while building step
-    graphs, ``scc_work`` counts vertices visited plus arcs scanned by
-    Tarjan, ``feasibility_comparisons`` counts per-type checks plus
-    per-owner demand tallies.  All three are deterministic for a given
-    market and tie-break seed, unlike wall time.
+    ``arcs_built`` counts owner pointers in each step's graph: every
+    remaining owner once per step, whether or not Tarjan reads the row
+    holding its pointer (rows are built on demand, so this is not the
+    number of pointers actually computed).  ``scc_work`` counts vertices
+    visited plus arcs scanned by Tarjan, ``feasibility_comparisons``
+    counts per-type checks plus per-owner demand tallies.  All three are
+    deterministic for a given market and tie-break seed, unlike wall
+    time.
     """
 
     arcs_built: int = 0
@@ -107,6 +116,54 @@ def solve_with_tiebreak(
     return _solve(market, SplitMix64(tiebreak_seed), counter)
 
 
+class _StepRows(dict):
+    """One step's pointing graph for ``scc_components``, over house ids.
+
+    ``len()`` is the house count.  Row ``h`` is built on its first read
+    in the step: each owner of ``h`` advances its cursor past removed
+    types and records its target, and the distinct targets, ascending,
+    form the row.  Removed types are never roots and no row points at
+    them, so they never get a row.  ``clear()`` starts the next step.
+    """
+
+    __slots__ = (
+        "house_count", "prefs", "owners_by_house", "alive", "cursors", "targets"
+    )
+
+    def __init__(
+        self, market: Market, alive: bytearray, targets: list[HouseId]
+    ) -> None:
+        super().__init__()
+        self.house_count = market.house_count
+        self.prefs = market.prefs
+        self.owners_by_house = market.owners_by_house
+        self.alive = alive
+        self.cursors = [0] * market.agent_count
+        self.targets = targets
+
+    def __len__(self) -> int:
+        return self.house_count
+
+    def __missing__(self, h: HouseId) -> tuple[HouseId, ...]:
+        prefs = self.prefs
+        alive = self.alive
+        cursors = self.cursors
+        targets = self.targets
+        outs = set()
+        for i in self.owners_by_house[h]:
+            c = cursors[i]
+            p = prefs[i]
+            t = p[c]
+            while not alive[t]:
+                c += 1
+                t = p[c]
+            cursors[i] = c
+            targets[i] = t
+            outs.add(t)
+        row = self[h] = tuple(sorted(outs))
+        return row
+
+
 def _solve(
     market: Market,
     tiebreak_rng: SplitMix64 | None,
@@ -115,56 +172,36 @@ def _solve(
     if counter is None:
         counter = OpCounter()
     house_count = market.house_count
-    prefs = market.prefs
     owners_by_house = market.owners_by_house
 
     alive = bytearray(b"\x01") * house_count
-    cursors = [0] * market.agent_count
     targets = [0] * market.agent_count
     assignment = [-1] * market.agent_count
-    pos = [0] * house_count
-    remaining = list(range(house_count))
+    rows = _StepRows(market, alive, targets)
+    live_houses = house_count
+    live_owners = market.agent_count
     trace: list[Segment] = []
     step = 0
 
-    while remaining:
+    while live_houses:
         step += 1
-        for k, h in enumerate(remaining):
-            pos[h] = k
+        rows.clear()
+        # Every live owner has one pointer in this step's graph, whether
+        # or not Tarjan reads its row.
+        counter.arcs_built += live_owners
 
-        # Rebuild the pointing graph: advance each remaining owner's
-        # cursor past removed types, then collapse parallel arcs.
-        adj: list[tuple[int, ...]] = []
-        emitted = 0
-        for h in remaining:
-            outs = set()
-            for i in owners_by_house[h]:
-                c = cursors[i]
-                p = prefs[i]
-                t = p[c]
-                while not alive[t]:
-                    c += 1
-                    t = p[c]
-                cursors[i] = c
-                targets[i] = t
-                outs.add(pos[t])
-            emitted += len(owners_by_house[h])
-            adj.append(tuple(sorted(outs)))
-        counter.arcs_built += emitted
-
-        if tiebreak_rng is None:
-            order = None
-        else:
-            order = fisher_yates(list(range(len(remaining))), tiebreak_rng)
+        roots = compress(range(house_count), alive)
+        if tiebreak_rng is not None:
+            roots = fisher_yates(list(roots), tiebreak_rng)
         stats = SccStats()
-        gen = scc_components(adj, order, stats)
+        gen = scc_components(rows, roots, stats)
         try:
             component = next(gen)
         finally:
             gen.close()
         counter.scc_work += stats.vertices_visited + stats.arcs_scanned
 
-        seg_houses = sorted(remaining[k] for k in component)
+        seg_houses = sorted(component)
         seg_set = set(seg_houses)
         seg_owners: list[AgentId] = []
         demand = dict.fromkeys(seg_houses, 0)
@@ -196,7 +233,8 @@ def _solve(
             assignment[i] = targets[i]
         for h in seg_houses:
             alive[h] = 0
-        remaining = [h for h in remaining if alive[h]]
+        live_houses -= len(seg_houses)
+        live_owners -= len(seg_owners)
 
     return SolveOutcome(Allocation(tuple(assignment)), tuple(trace), None)
 

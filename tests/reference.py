@@ -1,11 +1,14 @@
 """From-scratch step references that the tests check the solver against.
 
-The solver in ``houseswap.htts`` rebuilds each step incrementally from
-per-agent cursors and stops Tarjan at the first component.  The helpers
-here recompute the same step from nothing: an immutable digraph, the
-full SCC partition and its condensation, the pointing graph over the
-remaining house types, and the supply-equals-demand test.  Criterion 6
-of the acceptance gate compares every solver segment against them.
+The solver in ``houseswap.htts`` builds each step's pointing graph from
+per-agent cursors, only as far as Tarjan reads it, and stops Tarjan at
+the first component.  The helpers here recompute the same step from
+nothing: an immutable digraph, the full SCC partition and its
+condensation, the pointing graph over the remaining house types, and the
+supply-equals-demand test.  Criterion 6 of the acceptance gate compares
+every solver segment against them.  ``rebuild_solve`` is the whole solve
+with every step's graph built in full, as ``_solve`` once did; the
+solver must match it segment for segment and count for count.
 
 ``tarjan_scc`` drives ``houseswap.digraph.scc_components``; its
 partition is cross-checked against a transitive-closure oracle in
@@ -18,7 +21,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from houseswap.digraph import SccStats, scc_components
-from houseswap.market import AgentId, HouseId, Market
+from houseswap.htts import OpCounter, Segment, SolveOutcome
+from houseswap.market import AgentId, Allocation, HouseId, Market
+from houseswap.rng import SplitMix64, fisher_yates
 
 
 @dataclass(frozen=True)
@@ -163,3 +168,102 @@ def check_feasibility(
         if target in demand:
             demand[target] += 1
     return all(supply[h] == demand[h] for h in segment)
+
+
+def rebuild_solve(
+    market: Market,
+    tiebreak_seed: int | None = None,
+    counter: OpCounter | None = None,
+) -> SolveOutcome:
+    """The solve with each step's pointing graph rebuilt in full: every
+    remaining owner re-read, every row sorted, every live type remapped
+    to a dense position.  ``tiebreak_seed=None`` is ``htts_solve``'s
+    default tie-break, otherwise ``solve_with_tiebreak``'s."""
+    tiebreak_rng = None if tiebreak_seed is None else SplitMix64(tiebreak_seed)
+    if counter is None:
+        counter = OpCounter()
+    house_count = market.house_count
+    prefs = market.prefs
+    owners_by_house = market.owners_by_house
+
+    alive = bytearray(b"\x01") * house_count
+    cursors = [0] * market.agent_count
+    targets = [0] * market.agent_count
+    assignment = [-1] * market.agent_count
+    pos = [0] * house_count
+    remaining = list(range(house_count))
+    trace: list[Segment] = []
+    step = 0
+
+    while remaining:
+        step += 1
+        for k, h in enumerate(remaining):
+            pos[h] = k
+
+        # Rebuild the pointing graph: advance each remaining owner's
+        # cursor past removed types, then collapse parallel arcs.
+        adj: list[tuple[int, ...]] = []
+        emitted = 0
+        for h in remaining:
+            outs = set()
+            for i in owners_by_house[h]:
+                c = cursors[i]
+                p = prefs[i]
+                t = p[c]
+                while not alive[t]:
+                    c += 1
+                    t = p[c]
+                cursors[i] = c
+                targets[i] = t
+                outs.add(pos[t])
+            emitted += len(owners_by_house[h])
+            adj.append(tuple(sorted(outs)))
+        counter.arcs_built += emitted
+
+        if tiebreak_rng is None:
+            order = None
+        else:
+            order = fisher_yates(list(range(len(remaining))), tiebreak_rng)
+        stats = SccStats()
+        gen = scc_components(adj, order, stats)
+        try:
+            component = next(gen)
+        finally:
+            gen.close()
+        counter.scc_work += stats.vertices_visited + stats.arcs_scanned
+
+        seg_houses = sorted(remaining[k] for k in component)
+        seg_set = set(seg_houses)
+        seg_owners: list[AgentId] = []
+        demand = dict.fromkeys(seg_houses, 0)
+        for h in seg_houses:
+            for i in owners_by_house[h]:
+                t = targets[i]
+                # A sink SCC keeps every owner's favorite inside it.
+                assert t in seg_set
+                demand[t] += 1
+                seg_owners.append(i)
+        feasible = all(
+            demand[h] == len(owners_by_house[h]) for h in seg_houses
+        )
+        counter.feasibility_comparisons += len(seg_houses) + len(seg_owners)
+
+        seg_owners.sort()
+        segment = Segment(
+            step=step,
+            houses=tuple(seg_houses),
+            owners=tuple(seg_owners),
+            assignment={i: targets[i] for i in seg_owners},
+            feasible=feasible,
+        )
+        trace.append(segment)
+        if not feasible:
+            return SolveOutcome(None, tuple(trace), step)
+
+        for i in seg_owners:
+            assignment[i] = targets[i]
+        for h in seg_houses:
+            alive[h] = 0
+        remaining = [h for h in remaining if alive[h]]
+
+    return SolveOutcome(Allocation(tuple(assignment)), tuple(trace), None)

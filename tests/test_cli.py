@@ -117,6 +117,40 @@ class TestVerify:
         assert main(["verify", WORKED, str(alloc)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def solved_allocation(self, tmp_path, capsys, agents):
+        """gen an injective market (its core is never empty) and solve it;
+        returns the market and allocation paths."""
+        market = tmp_path / "gen.market"
+        alloc = tmp_path / "gen.alloc"
+        gen = ["gen", "--agents", agents, "--houses", agents, "--seed", "4"]
+        assert main(gen) == 0
+        market.write_text(capsys.readouterr().out)
+        assert main(["solve", str(market)]) == 0
+        alloc.write_text(capsys.readouterr().out)
+        return str(market), alloc
+
+    def test_solver_output_accepted_above_enumeration_cap(self, tmp_path, capsys):
+        for agents in ("12", "200"):
+            market, alloc = self.solved_allocation(tmp_path, capsys, agents)
+            assert main(["verify", market, str(alloc)]) == 0
+            out = capsys.readouterr()
+            assert out.out == "" and out.err == ""
+
+    def test_other_allocation_above_cap_still_needs_enumeration(
+        self, tmp_path, capsys
+    ):
+        market, alloc = self.solved_allocation(tmp_path, capsys, "12")
+        lines = alloc.read_text().splitlines()
+        # The first two agents swap their assigned types: still feasible,
+        # but not the core.
+        a, b = lines[0].split(" -> "), lines[1].split(" -> ")
+        lines[0], lines[1] = f"{a[0]} -> {b[1]}", f"{b[0]} -> {a[1]}"
+        alloc.write_text("\n".join(lines) + "\n")
+        assert main(["verify", market, str(alloc)]) == 1
+        assert capsys.readouterr().err == (
+            "error: 12 agents exceeds enumeration cap 8\n"
+        )
+
     def test_non_utf8_allocation_names_line(self, tmp_path, capsys):
         alloc = tmp_path / "bad.alloc"
         alloc.write_bytes(b"1 -> h2\n2 -> h1\n3 -> \xff\n")

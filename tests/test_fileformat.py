@@ -42,6 +42,17 @@ class TestParseMarket:
             parse_market_text("")
         assert "houses:" in str(exc.value)
 
+    def test_empty_input_names_line_one(self):
+        with pytest.raises(ParseError) as exc:
+            parse_market_text("")
+        assert exc.value.line == 1
+        assert str(exc.value) == "line 1: missing 'houses:' line"
+
+    def test_comment_only_input_names_last_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_market_text("# no market here\n\n# still none\n")
+        assert exc.value.line == 3
+
     def test_first_line_must_declare_houses(self):
         with pytest.raises(ParseError) as exc:
             parse_market_text("agent a endow h1 prefs h1\n")
@@ -145,3 +156,11 @@ class TestAllocationFormat:
         with pytest.raises(ParseError) as exc:
             parse_allocation_text("1 -> h2\n", m)
         assert "not assigned" in str(exc.value)
+
+    def test_missing_agent_names_last_line(self):
+        m = worked_market()
+        text = "1 -> h2\n2 -> h1\n# agents 3-5 left out\n"
+        with pytest.raises(ParseError) as exc:
+            parse_allocation_text(text, m)
+        assert exc.value.line == 3
+        assert str(exc.value) == "line 3: agent '3' not assigned"

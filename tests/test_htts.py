@@ -5,10 +5,14 @@ Fixed points:
 - the three-agent empty-core market,
 - a two-pair market with two simultaneous sink SCCs (tie-break surface),
 - a five-agent market that fails at step 2, exercising the partial trace.
+
+``TestMatchesRebuild`` checks whole solves, counts included, against the
+reference that rebuilds every step's graph in full.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +33,7 @@ from houseswap import (
     random_market,
     solve_with_tiebreak,
 )
-from reference import build_pointing_graph, check_feasibility
+from reference import build_pointing_graph, check_feasibility, rebuild_solve
 
 
 def two_step_empty_core_market():
@@ -217,6 +221,35 @@ class TestTiebreak:
         for m in (empty_core_market(), two_step_empty_core_market()):
             for seed in range(8):
                 assert not solve_with_tiebreak(m, seed).core_found
+
+
+def assert_matches_rebuild(market, tiebreak_seed):
+    counter, expected_counter = OpCounter(), OpCounter()
+    if tiebreak_seed is None:
+        out = htts_solve(market, counter=counter)
+    else:
+        out = solve_with_tiebreak(market, tiebreak_seed, counter=counter)
+    expected = rebuild_solve(market, tiebreak_seed, expected_counter)
+    assert out.allocation == expected.allocation
+    assert out.trace == expected.trace
+    assert out.failed_step == expected.failed_step
+    assert counter == expected_counter
+
+
+class TestMatchesRebuild:
+    @pytest.mark.parametrize("tiebreak_seed", [None, 1, 2])
+    def test_small_random_markets(self, tiebreak_seed):
+        for seed in range(1000):
+            agents = 1 + seed % 12
+            houses = 1 + (seed // 12) % agents
+            market = random_market(GenParams(agents, houses, seed))
+            assert_matches_rebuild(market, tiebreak_seed)
+
+    @pytest.mark.parametrize("tiebreak_seed", [None, 1])
+    def test_injective_markets(self, tiebreak_seed):
+        for seed in range(50):
+            market = random_market(GenParams(200, 200, seed))
+            assert_matches_rebuild(market, tiebreak_seed)
 
 
 class TestOpCounter:
