@@ -2,7 +2,8 @@
 
 Exit codes are uniform across subcommands: 0 for a found allocation or a
 verified core member, 2 for an empty core or a blocked allocation, 1 for
-bad input (unreadable files, parse or validation errors, cap overruns).
+bad input (usage errors, unreadable files, parse or validation errors,
+cap overruns).  Every error is one ``error: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import math
 import sys
 import time
+from typing import NoReturn
 
 from .fileformat import (
     ParseError,
@@ -58,20 +60,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         outcome = solve_with_tiebreak(market, args.tiebreak_seed, counter=counter)
     if outcome.core_found:
-        sys.stdout.write(serialize_allocation(market, outcome.allocation))
-        if args.trace:
-            for seg in outcome.trace:
-                print(format_segment(market, seg))
-        if args.stats:
-            print(_stats_line(counter))
-        return 0
-    print(f"EMPTY CORE at step {outcome.failed_step}", file=sys.stderr)
+        out = sys.stdout
+        out.write(serialize_allocation(market, outcome.allocation))
+    else:
+        out = sys.stderr
+        print(f"EMPTY CORE at step {outcome.failed_step}", file=out)
     if args.trace:
         for seg in outcome.trace:
-            print(format_segment(market, seg), file=sys.stderr)
+            print(format_segment(market, seg), file=out)
     if args.stats:
-        print(_stats_line(counter), file=sys.stderr)
-    return 2
+        print(_stats_line(counter), file=out)
+    return 0 if outcome.core_found else 2
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -136,21 +135,26 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except ValueError:
         print(f"error: invalid size list {args.sizes!r}", file=sys.stderr)
         return 1
-    if not sizes or any(s < 1 for s in sizes):
+    if not sizes or any(not 1 <= s <= sys.maxsize for s in sizes):
         print(f"error: invalid size list {args.sizes!r}", file=sys.stderr)
         return 1
-    if not (math.isfinite(args.ratio) and args.ratio > 0):
+    if not (args.ratio > 0 and math.isfinite(args.ratio * max(sizes))):
         print(f"error: invalid ratio {args.ratio}", file=sys.stderr)
         return 1
     if args.repeats < 1:
         print(f"error: invalid repeats {args.repeats}", file=sys.stderr)
         return 1
+    # Check every size's parameters before the table starts.
+    size_params = [
+        GenParams(max(houses, round(args.ratio * houses)), houses, args.seed)
+        for houses in sizes
+    ]
 
     print("H I wall_ns arcs scc feas")
     totals: dict[int, list[int]] = {}
-    for houses in sizes:
-        agents = max(houses, round(args.ratio * houses))
-        market = random_market(GenParams(agents, houses, args.seed))
+    for params in size_params:
+        houses, agents = params.house_count, params.agent_count
+        market = random_market(params)
         for _ in range(args.repeats):
             counter = OpCounter()
             start = time.perf_counter_ns()
@@ -170,8 +174,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with one ``error:`` line, like any other bad
+    input; argparse's own exit 2 would read as an empty core.  Subparsers
+    are built from the same class, so they inherit this."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="houseswap",
         description=(
             "Decide whether a house-swapping market with duplicate house "
@@ -216,10 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, InvalidParams, CapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (
+        ParseError, ValidationError, InvalidParams, CapExceeded, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

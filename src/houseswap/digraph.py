@@ -6,19 +6,21 @@ condensation, so the first component it emits is such a sink.  The
 implementation is iterative (explicit stacks) because step graphs can
 have 10**5+ vertices and a recursive DFS would blow the call stack.
 
-Vertices are ints ``0..len(adj)-1``.  ``adj`` need only support
-``len()`` and indexing: the solver passes an object that builds each row
-on its first read, and a row may be read more than once.  Only vertices
-reachable from the depth-first starts are visited, so a caller that
-passes ``order`` can leave the other vertices without rows.  With
-adjacency lists in ascending order, as the solver builds them, and
-depth-first starts in a fixed order, every traversal is fully
+The graph is given by a function: ``successors(v)`` returns the
+out-neighbors of vertex ``v`` as a sequence.  The search calls it exactly
+once for each vertex it reaches, when it first reaches it, and keeps the
+result in that vertex's call frame; vertices it never reaches are never
+asked about.  Depth-first searches start from ``roots`` in the given
+order.  Index, low-link and on-stack state is kept only for reached
+vertices, so a search costs the vertices and arcs it touches, whatever
+the size of the graph.  With successors in ascending order, as the solver
+returns them, and roots in a fixed order, every traversal is fully
 deterministic.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class SccStats:
@@ -32,54 +34,46 @@ class SccStats:
 
 
 def scc_components(
-    adj: Sequence[Sequence[int]],
-    order: Iterable[int] | None = None,
+    successors: Callable[[int], Sequence[int]],
+    roots: Iterable[int],
     stats: SccStats | None = None,
 ) -> Iterator[list[int]]:
-    """Yield SCCs of an adjacency list in Tarjan emission order.
+    """Yield the SCCs reachable from ``roots`` in Tarjan emission order.
 
-    ``order`` chooses where depth-first searches start (default every
-    vertex in ascending id); it can change which sink component comes out
+    The order of ``roots`` can change which sink component comes out
     first when several exist, but never the partition of the vertices it
     reaches.  Closing the iterator early is fine: traversal work done so
     far is flushed into ``stats``.
     """
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = bytearray(n)
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    on_stack: set[int] = set()
     comp_stack: list[int] = []
-    next_index = 0
-    visited = 0
     scanned = 0
-    if order is None:
-        order = range(n)
     try:
-        for root in order:
-            if index[root] != -1:
+        for root in roots:
+            if root in index:
                 continue
-            call: list[list[int]] = [[root, 0]]
+            call: list[list] = [[root, None, 0]]
             while call:
                 frame = call[-1]
-                v, ptr = frame
-                if ptr == 0:
-                    index[v] = low[v] = next_index
-                    next_index += 1
+                v, neighbors, ptr = frame
+                if neighbors is None:
+                    index[v] = low[v] = len(index)
                     comp_stack.append(v)
-                    on_stack[v] = 1
-                    visited += 1
-                neighbors = adj[v]
+                    on_stack.add(v)
+                    neighbors = frame[1] = successors(v)
                 descended = False
                 while ptr < len(neighbors):
                     w = neighbors[ptr]
                     ptr += 1
                     scanned += 1
-                    if index[w] == -1:
-                        frame[1] = ptr
-                        call.append([w, 0])
+                    if w not in index:
+                        frame[2] = ptr
+                        call.append([w, None, 0])
                         descended = True
                         break
-                    if on_stack[w] and index[w] < low[v]:
+                    if w in on_stack and index[w] < low[v]:
                         low[v] = index[w]
                 if descended:
                     continue
@@ -90,12 +84,12 @@ def scc_components(
                     component = []
                     while True:
                         w = comp_stack.pop()
-                        on_stack[w] = 0
+                        on_stack.discard(w)
                         component.append(w)
                         if w == v:
                             break
                     yield component
     finally:
         if stats is not None:
-            stats.vertices_visited += visited
+            stats.vertices_visited += len(index)
             stats.arcs_scanned += scanned

@@ -24,6 +24,7 @@ copies per type.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .market import Market
@@ -36,7 +37,8 @@ class InvalidParams(ValueError):
 
 @dataclass(frozen=True)
 class GenParams:
-    """Generation knobs; ``1 <= house_count <= agent_count`` required."""
+    """Generation knobs; ``1 <= house_count <= agent_count <= sys.maxsize``
+    required."""
 
     agent_count: int
     house_count: int
@@ -45,6 +47,8 @@ class GenParams:
     def __post_init__(self) -> None:
         if self.agent_count < 1:
             raise InvalidParams("agent_count must be at least 1")
+        if self.agent_count > sys.maxsize:
+            raise InvalidParams(f"agent_count must be at most {sys.maxsize}")
         if not 1 <= self.house_count <= self.agent_count:
             raise InvalidParams(
                 "house_count must be in [1, agent_count], got "

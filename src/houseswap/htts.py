@@ -5,9 +5,10 @@ The solver repeats one step until no house types remain or a step fails:
 1. Form the pointing graph on the remaining house types: an arc
    (h, h') means some remaining owner of a copy of h most prefers h'
    among the remaining types.  Every vertex has out-degree at least one,
-   so a sink SCC always exists.  A type's row is built only when Tarjan
-   first reads it, so a step never touches the owners of types its
-   search does not reach.
+   so a sink SCC always exists.  Tarjan asks for a type's successors
+   once, when its search first reaches the type; only then do that
+   type's owners advance their cursors and record their favorites, so a
+   step never touches the owners of types its search does not reach.
 2. Take the first SCC Tarjan emits; it has no outgoing arcs.  Its house
    types form the step's trading segment, its owners the segment's
    agents.  Tarjan has read every segment type's row, so each of those
@@ -25,10 +26,11 @@ unique strict-core allocation.
 Each agent carries a cursor over their preference list that only ever
 advances past removed house types, so recomputing favorites costs
 amortized O(house_count) per agent across the whole solve.  A step's
-Tarjan search costs O(house_count) for its arrays plus the rows it
-reads, which is at most every remaining owner once.  This keeps total
-work within O(house_count**2 + house_count * agent_count); in practice a
-step reads only the path from its first root to the first sink.
+Tarjan search keeps state only for the types it reaches, so it costs the
+rows it reaches, at most every remaining owner once, plus skipping the
+ids of removed types before its first root.  This keeps total work
+within O(house_count**2 + house_count * agent_count); in practice a step
+reads only the path from its first root to the first sink.
 """
 
 from __future__ import annotations
@@ -116,41 +118,28 @@ def solve_with_tiebreak(
     return _solve(market, SplitMix64(tiebreak_seed), counter)
 
 
-class _StepRows(dict):
-    """One step's pointing graph for ``scc_components``, over house ids.
+def _solve(
+    market: Market,
+    tiebreak_rng: SplitMix64 | None,
+    counter: OpCounter | None,
+) -> SolveOutcome:
+    if counter is None:
+        counter = OpCounter()
+    house_count = market.house_count
+    prefs = market.prefs
+    owners_by_house = market.owners_by_house
 
-    ``len()`` is the house count.  Row ``h`` is built on its first read
-    in the step: each owner of ``h`` advances its cursor past removed
-    types and records its target, and the distinct targets, ascending,
-    form the row.  Removed types are never roots and no row points at
-    them, so they never get a row.  ``clear()`` starts the next step.
-    """
+    alive = bytearray(b"\x01") * house_count
+    cursors = [0] * market.agent_count
+    targets = [0] * market.agent_count
+    assignment = [-1] * market.agent_count
 
-    __slots__ = (
-        "house_count", "prefs", "owners_by_house", "alive", "cursors", "targets"
-    )
-
-    def __init__(
-        self, market: Market, alive: bytearray, targets: list[HouseId]
-    ) -> None:
-        super().__init__()
-        self.house_count = market.house_count
-        self.prefs = market.prefs
-        self.owners_by_house = market.owners_by_house
-        self.alive = alive
-        self.cursors = [0] * market.agent_count
-        self.targets = targets
-
-    def __len__(self) -> int:
-        return self.house_count
-
-    def __missing__(self, h: HouseId) -> tuple[HouseId, ...]:
-        prefs = self.prefs
-        alive = self.alive
-        cursors = self.cursors
-        targets = self.targets
+    def successors(h: HouseId) -> list[HouseId]:
+        # Point each owner of h at its favorite remaining type, advancing
+        # its cursor past removed ones; the distinct targets, ascending,
+        # are h's row in this step's graph.
         outs = set()
-        for i in self.owners_by_house[h]:
+        for i in owners_by_house[h]:
             c = cursors[i]
             p = prefs[i]
             t = p[c]
@@ -160,24 +149,8 @@ class _StepRows(dict):
             cursors[i] = c
             targets[i] = t
             outs.add(t)
-        row = self[h] = tuple(sorted(outs))
-        return row
+        return sorted(outs)
 
-
-def _solve(
-    market: Market,
-    tiebreak_rng: SplitMix64 | None,
-    counter: OpCounter | None,
-) -> SolveOutcome:
-    if counter is None:
-        counter = OpCounter()
-    house_count = market.house_count
-    owners_by_house = market.owners_by_house
-
-    alive = bytearray(b"\x01") * house_count
-    targets = [0] * market.agent_count
-    assignment = [-1] * market.agent_count
-    rows = _StepRows(market, alive, targets)
     live_houses = house_count
     live_owners = market.agent_count
     trace: list[Segment] = []
@@ -185,7 +158,6 @@ def _solve(
 
     while live_houses:
         step += 1
-        rows.clear()
         # Every live owner has one pointer in this step's graph, whether
         # or not Tarjan reads its row.
         counter.arcs_built += live_owners
@@ -194,7 +166,7 @@ def _solve(
         if tiebreak_rng is not None:
             roots = fisher_yates(list(roots), tiebreak_rng)
         stats = SccStats()
-        gen = scc_components(rows, roots, stats)
+        gen = scc_components(successors, roots, stats)
         try:
             component = next(gen)
         finally:

@@ -66,10 +66,13 @@ def tarjan_scc(
     start_order: Sequence[int] | None = None,
     stats: SccStats | None = None,
 ) -> SccPartition:
-    """Full SCC partition of ``g`` in Tarjan emission order."""
+    """Full SCC partition of ``g`` in Tarjan emission order; depth-first
+    searches start from ``start_order``, default every vertex ascending."""
     components: list[tuple[int, ...]] = []
     component_of = [-1] * g.vertex_count
-    for component in scc_components(g.adj, start_order, stats):
+    if start_order is None:
+        start_order = range(g.vertex_count)
+    for component in scc_components(g.adj.__getitem__, start_order, stats):
         idx = len(components)
         for v in component:
             component_of[v] = idx
@@ -221,11 +224,11 @@ def rebuild_solve(
         counter.arcs_built += emitted
 
         if tiebreak_rng is None:
-            order = None
+            order = range(len(remaining))
         else:
             order = fisher_yates(list(range(len(remaining))), tiebreak_rng)
         stats = SccStats()
-        gen = scc_components(adj, order, stats)
+        gen = scc_components(adj.__getitem__, order, stats)
         try:
             component = next(gen)
         finally:

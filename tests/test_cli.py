@@ -10,6 +10,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from conftest import FIXTURES
 from houseswap import OpCounter, htts_solve, load_market
 from houseswap.cli import main
@@ -202,6 +204,15 @@ class TestGen:
         assert main(["gen", "--agents", "2", "--houses", "5"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_agent_count_above_maxsize(self, capsys):
+        assert main([
+            "gen", "--agents", "100000000000000000000", "--houses", "1",
+        ]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: agent_count")
+        assert out.err.count("\n") == 1
+
     def test_gen_then_solve(self, tmp_path, capsys):
         main(["gen", "--agents", "8", "--houses", "8", "--seed", "3"])
         path = tmp_path / "gen.market"
@@ -265,6 +276,62 @@ class TestBench:
             assert out.out == ""
             assert out.err.startswith("error:")
             assert out.err.count("\n") == 1
+        # Sizes whose agent or house counts cannot be allocated stop
+        # before the table header.
+        for args in [
+            ["--sizes", "10", "--ratio", "1e300"],
+            ["--sizes", "10", "--ratio", "1e308"],
+            ["--sizes", "1" + "0" * 30],
+        ]:
+            assert main(["bench", *args]) == 1
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.startswith("error:")
+            assert out.err.count("\n") == 1
+
+
+class TestUsageErrors:
+    """Usage errors are bad input: exit 1 with one ``error:`` line, never
+    argparse's exit 2, which would read as an empty core."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["gen", "--agents", "x", "--houses", "1"],
+                "error: argument --agents: invalid int value: 'x'\n",
+            ),
+            ([], "error: the following arguments are required: command\n"),
+            (
+                ["gen", "--houses", "3"],
+                "error: the following arguments are required: --agents\n",
+            ),
+        ],
+    )
+    def test_exit_one_with_one_line(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == message
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: houseswap gen")
+
+
+def test_module_entry_point_usage_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "houseswap", "gen", "--agents", "x"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: argument --agents: invalid int value: 'x'\n"
 
 
 def test_module_entry_point_smoke():

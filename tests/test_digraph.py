@@ -10,6 +10,8 @@ does.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,7 +48,9 @@ def first_sink_scc(
 ) -> tuple[int, ...]:
     """First SCC Tarjan emits, taken as the solver takes it: one
     ``next()`` on ``scc_components``, then ``close()``."""
-    gen = scc_components(g.adj, start_order, stats)
+    if start_order is None:
+        start_order = range(g.vertex_count)
+    gen = scc_components(g.adj.__getitem__, start_order, stats)
     try:
         component = next(gen)
     finally:
@@ -75,6 +79,32 @@ class TestDigraph:
             Digraph.from_arcs(2, [(0, 2)])
         with pytest.raises(ValueError):
             Digraph.from_arcs(2, [(-1, 0)])
+
+
+class CountingRows(tuple):
+    """Adjacency rows that count the reads of each row, so a digraph built
+    on them counts the ``successors`` calls the search makes."""
+
+    def __getitem__(self, v):
+        self.reads[v] += 1
+        return super().__getitem__(v)
+
+
+def counting(g: Digraph) -> tuple[Digraph, Counter]:
+    rows = CountingRows(g.adj)
+    rows.reads = Counter()
+    return Digraph(g.vertex_count, rows), rows.reads
+
+
+def reachable(g: Digraph, roots) -> set[int]:
+    seen: set[int] = set()
+    stack = list(roots)
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack.extend(g.adj[v])
+    return seen
 
 
 class TestTarjan:
@@ -140,7 +170,7 @@ class TestTarjan:
         n = 150_000
         adj = [(v + 1,) for v in range(n - 1)]
         adj.append(())
-        components = list(scc_components(adj))
+        components = list(scc_components(adj.__getitem__, range(n)))
         assert len(components) == n
         assert components[0] == [n - 1]
 
@@ -179,9 +209,40 @@ class TestFirstSinkScc:
     def test_empty_graph_raises(self):
         # No vertices, no component: the search emits nothing, so there
         # is no first sink to take.
-        assert list(scc_components([])) == []
+        assert list(scc_components([].__getitem__, range(0))) == []
         with pytest.raises(StopIteration):
             first_sink_scc(Digraph.from_arcs(0, []))
+
+
+class TestSuccessorsReadOnce:
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=120)
+    def test_full_search(self, n, data):
+        arc_bits = data.draw(st.integers(0, 2 ** (n * n) - 1))
+        roots = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+        g = random_digraph(0, n, arc_bits)
+        reached = reachable(g, roots)
+        counted, reads = counting(g)
+        stats = SccStats()
+        tarjan_scc(counted, roots, stats)
+        assert set(reads) == reached
+        assert all(k == 1 for k in reads.values())
+        assert sum(reads.values()) == stats.vertices_visited
+
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=120)
+    def test_first_sink(self, n, data):
+        arc_bits = data.draw(st.integers(0, 2 ** (n * n) - 1))
+        roots = data.draw(st.permutations(range(n)))
+        g = random_digraph(0, n, arc_bits)
+        counted, reads = counting(g)
+        stats = SccStats()
+        sink = first_sink_scc(counted, roots, stats)
+        # The search stops inside the first root's reach, having read
+        # every vertex of the sink it emits.
+        assert set(sink) <= set(reads) <= reachable(g, roots[:1])
+        assert all(k == 1 for k in reads.values())
+        assert sum(reads.values()) == stats.vertices_visited
 
 
 class TestCondensation:

@@ -7,6 +7,8 @@ preferences consume draws will break them, which is the point.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +49,14 @@ class TestGenParams:
     def test_rejects_negative_seed(self):
         with pytest.raises(InvalidParams):
             GenParams(3, 3, -1)
+
+    def test_rejects_agent_count_above_maxsize(self):
+        # Checked before anything is allocated; a count this large would
+        # otherwise overflow list sizes.
+        with pytest.raises(InvalidParams):
+            GenParams(sys.maxsize + 1, 1, 0)
+        with pytest.raises(InvalidParams):
+            GenParams(10**20, 10**20, 0)
 
 
 class TestRandomMarket:
