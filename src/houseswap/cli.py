@@ -174,6 +174,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A splitmix64 seed: an integer in [0, 2**64), which the stream
+    uses unreduced."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [0, 2**64), got {text!r}"
+        )
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1 with one ``error:`` line, like any other bad
     input; argparse's own exit 2 would read as an empty core.  Subparsers
@@ -196,7 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a market file")
     p.add_argument("market")
     p.add_argument("--trace", action="store_true", help="print segment lines")
-    p.add_argument("--tiebreak-seed", type=int, default=None, metavar="N")
+    p.add_argument(
+        "--tiebreak-seed", type=_seed, default=None, metavar="N",
+        help="choose each step's root type with a splitmix64 stream seeded "
+        "with N in [0, 2**64) instead of the smallest live type",
+    )
     p.add_argument("--stats", action="store_true", help="print operation counts")
     p.set_defaults(func=cmd_solve)
 

@@ -38,7 +38,8 @@ class InvalidParams(ValueError):
 @dataclass(frozen=True)
 class GenParams:
     """Generation knobs; ``1 <= house_count <= agent_count <= sys.maxsize``
-    required."""
+    and ``0 <= seed < 2**64`` required (splitmix64 would reduce a larger
+    seed mod 2**64 and repeat another seed's market)."""
 
     agent_count: int
     house_count: int
@@ -54,8 +55,8 @@ class GenParams:
                 "house_count must be in [1, agent_count], got "
                 f"{self.house_count} with {self.agent_count} agents"
             )
-        if self.seed < 0:
-            raise InvalidParams("seed must be a natural number")
+        if not 0 <= self.seed < 1 << 64:
+            raise InvalidParams("seed must be in [0, 2**64)")
 
 
 def random_market(params: GenParams) -> Market:

@@ -5,15 +5,19 @@ The solver repeats one step until no house types remain or a step fails:
 1. Form the pointing graph on the remaining house types: an arc
    (h, h') means some remaining owner of a copy of h most prefers h'
    among the remaining types.  Every vertex has out-degree at least one,
-   so a sink SCC always exists.  Tarjan asks for a type's successors
-   once, when its search first reaches the type; only then do that
-   type's owners advance their cursors and record their favorites, so a
-   step never touches the owners of types its search does not reach.
-2. Take the first SCC Tarjan emits; it has no outgoing arcs.  Its house
-   types form the step's trading segment, its owners the segment's
-   agents.  Tarjan has read every segment type's row, so each of those
-   agents already holds their favorite remaining type, which necessarily
-   lies inside the segment, and is assigned it.
+   so a sink SCC always exists.  Tarjan searches from one root type:
+   the smallest live type by default, or under a tie-break seed a live
+   type drawn uniformly (``below(house_count)``, redrawn while the type
+   is removed).  It asks for a type's successors once, when its search
+   first reaches the type; only then do that type's owners advance their
+   cursors and record their favorites, so a step never touches the
+   owners of types its search does not reach.
+2. Take the first SCC Tarjan emits, a sink reachable from the root; it
+   has no outgoing arcs.  Its house types form the step's trading
+   segment, its owners the segment's agents.  Tarjan has read every
+   segment type's row, so each of those agents already holds their
+   favorite remaining type, which necessarily lies inside the segment,
+   and is assigned it.
 3. Check per-type supply equals demand inside the segment: the number of
    copies owned there must equal the number of owners picking that type.
    If any type mismatches, the market has no strict-core allocation and
@@ -27,21 +31,21 @@ Each agent carries a cursor over their preference list that only ever
 advances past removed house types, so recomputing favorites costs
 amortized O(house_count) per agent across the whole solve.  A step's
 Tarjan search keeps state only for the types it reaches, so it costs the
-rows it reaches, at most every remaining owner once, plus skipping the
-ids of removed types before its first root.  This keeps total work
-within O(house_count**2 + house_count * agent_count); in practice a step
-reads only the path from its first root to the first sink.
+rows it reaches, at most every remaining owner once.  This keeps total
+work within O(house_count**2 + house_count * agent_count); in practice a
+step reads only the path from its root to the first sink.  A seeded solve
+makes house_count / live draws per step on average, O(house_count *
+log(house_count)) over the whole solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Mapping
 
 from .digraph import SccStats, scc_components
 from .market import AgentId, Allocation, HouseId, Market
-from .rng import SplitMix64, fisher_yates
+from .rng import SplitMix64
 
 
 @dataclass(frozen=True)
@@ -95,10 +99,10 @@ class OpCounter:
 def htts_solve(market: Market, *, counter: OpCounter | None = None) -> SolveOutcome:
     """Solve a market with the deterministic default tie-break.
 
-    When several sink SCCs exist in a step, the first one Tarjan emits
-    with ascending depth-first starts is taken.  Returns either the
-    unique strict-core allocation or an EmptyCore verdict; the trace
-    records every segment examined, including a final infeasible one.
+    Each step searches from the smallest live house type, and the first
+    sink SCC Tarjan emits from it is taken.  Returns either the unique
+    strict-core allocation or an EmptyCore verdict; the trace records
+    every segment examined, including a final infeasible one.
     """
     return _solve(market, None, counter)
 
@@ -109,11 +113,14 @@ def solve_with_tiebreak(
     *,
     counter: OpCounter | None = None,
 ) -> SolveOutcome:
-    """Solve with a seeded permutation of Tarjan's start order.
+    """Solve with a seeded choice of each step's root type.
 
-    Different seeds may pick different sink SCCs when several exist, so
-    traces can differ, but the verdict never does, and a found allocation
-    is identical for every seed.
+    Each step searches from a live house type drawn uniformly from a
+    splitmix64 stream seeded with ``tiebreak_seed``, so any sink SCC can
+    be picked (a root inside it picks it).  Different seeds may pick
+    different sink SCCs when several exist, so traces can differ, but the
+    verdict never does, and a found allocation is identical for every
+    seed.
     """
     return _solve(market, SplitMix64(tiebreak_seed), counter)
 
@@ -162,11 +169,16 @@ def _solve(
         # or not Tarjan reads its row.
         counter.arcs_built += live_owners
 
-        roots = compress(range(house_count), alive)
-        if tiebreak_rng is not None:
-            roots = fisher_yates(list(roots), tiebreak_rng)
+        # Tarjan's first component lies in its first root's search tree,
+        # so one root per step is all the tie-break has to choose.
+        if tiebreak_rng is None:
+            root = alive.index(1)
+        else:
+            root = tiebreak_rng.below(house_count)
+            while not alive[root]:
+                root = tiebreak_rng.below(house_count)
         stats = SccStats()
-        gen = scc_components(successors, roots, stats)
+        gen = scc_components(successors, (root,), stats)
         try:
             component = next(gen)
         finally:

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 from houseswap.digraph import SccStats, scc_components
 from houseswap.htts import OpCounter, Segment, SolveOutcome
 from houseswap.market import AgentId, Allocation, HouseId, Market
-from houseswap.rng import SplitMix64, fisher_yates
+from houseswap.rng import SplitMix64
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,12 @@ def rebuild_solve(
         if tiebreak_rng is None:
             order = range(len(remaining))
         else:
-            order = fisher_yates(list(range(len(remaining))), tiebreak_rng)
+            # The seeded tie-break draws one live type uniformly and
+            # searches from its position alone.
+            root = tiebreak_rng.below(house_count)
+            while not alive[root]:
+                root = tiebreak_rng.below(house_count)
+            order = [pos[root]]
         stats = SccStats()
         gen = scc_components(adj.__getitem__, order, stats)
         try:

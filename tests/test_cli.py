@@ -213,6 +213,18 @@ class TestGen:
         assert out.err.startswith("error: agent_count")
         assert out.err.count("\n") == 1
 
+    def test_seed_from_two_to_the_64(self, capsys):
+        # splitmix64 would reduce the seed mod 2**64 and silently repeat
+        # seed 0's market.
+        assert main([
+            "gen", "--agents", "5", "--houses", "3",
+            "--seed", str(2**64),
+        ]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: seed")
+        assert out.err.count("\n") == 1
+
     def test_gen_then_solve(self, tmp_path, capsys):
         main(["gen", "--agents", "8", "--houses", "8", "--seed", "3"])
         path = tmp_path / "gen.market"
@@ -289,6 +301,13 @@ class TestBench:
             assert out.err.startswith("error:")
             assert out.err.count("\n") == 1
 
+    def test_seed_from_two_to_the_64(self, capsys):
+        assert main(["bench", "--sizes", "10", "--seed", str(2**64)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: seed")
+        assert out.err.count("\n") == 1
+
 
 class TestUsageErrors:
     """Usage errors are bad input: exit 1 with one ``error:`` line, never
@@ -305,6 +324,17 @@ class TestUsageErrors:
             (
                 ["gen", "--houses", "3"],
                 "error: the following arguments are required: --agents\n",
+            ),
+            # Reducing mod 2**64 would turn -1 into 2**64 - 1 silently.
+            (
+                ["solve", WORKED, "--tiebreak-seed", "-1"],
+                "error: argument --tiebreak-seed: must be an integer "
+                "in [0, 2**64), got '-1'\n",
+            ),
+            (
+                ["solve", WORKED, "--tiebreak-seed", str(2**64)],
+                "error: argument --tiebreak-seed: must be an integer "
+                f"in [0, 2**64), got '{2**64}'\n",
             ),
         ],
     )

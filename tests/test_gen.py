@@ -50,6 +50,13 @@ class TestGenParams:
         with pytest.raises(InvalidParams):
             GenParams(3, 3, -1)
 
+    def test_rejects_seed_from_two_to_the_64(self):
+        # splitmix64 reduces its seed mod 2**64, so 2**64 would repeat
+        # seed 0's market.
+        GenParams(5, 3, 2**64 - 1)
+        with pytest.raises(InvalidParams):
+            GenParams(5, 3, 2**64)
+
     def test_rejects_agent_count_above_maxsize(self):
         # Checked before anything is allocated; a count this large would
         # otherwise overflow list sizes.

@@ -7,15 +7,21 @@ Fixed points:
 - a five-agent market that fails at step 2, exercising the partial trace.
 
 ``TestMatchesRebuild`` checks whole solves, counts included, against the
-reference that rebuilds every step's graph in full.
+reference that rebuilds every step's graph in full.  ``TestSeededSteps``
+checks seeded solves step by step against from-scratch recomputation
+alone, so the seeded root rule is not vouched for only by that
+reference.
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import houseswap.htts
 from conftest import (
     WORKED_ASSIGNMENT,
     empty_core_market,
@@ -33,7 +39,14 @@ from houseswap import (
     random_market,
     solve_with_tiebreak,
 )
-from reference import build_pointing_graph, check_feasibility, rebuild_solve
+from houseswap.rng import SplitMix64
+from reference import (
+    best_house,
+    build_pointing_graph,
+    check_feasibility,
+    rebuild_solve,
+    tarjan_scc,
+)
 
 
 def two_step_empty_core_market():
@@ -221,6 +234,75 @@ class TestTiebreak:
         for m in (empty_core_market(), two_step_empty_core_market()):
             for seed in range(8):
                 assert not solve_with_tiebreak(m, seed).core_found
+
+
+def chain_market(house_count):
+    """One owner per type and one ranking for all: each step's only sink
+    is the top remaining type, so the solve takes one step per type."""
+    houses = [f"h{h}" for h in range(house_count)]
+    return market_from(
+        houses, [(f"a{h}", houses[h], houses) for h in range(house_count)]
+    )
+
+
+def assert_steps_from_scratch(market, out):
+    """Every segment is a sink SCC of its step's from-scratch pointing
+    graph, assigns each owner their favorite remaining type, and has the
+    feasibility flag of an independent recount."""
+    remaining = set(range(market.house_count))
+    for seg in out.trace:
+        remaining_agents = {
+            i for h in remaining for i in market.owners_by_house[h]
+        }
+        pg = build_pointing_graph(market, remaining, remaining_agents)
+        seg_vertices = {pg.vertex_of(h) for h in seg.houses}
+        components = tarjan_scc(pg.graph).components
+        assert seg_vertices in [set(c) for c in components]
+        for u, v in pg.graph.arcs():
+            if u in seg_vertices:
+                assert v in seg_vertices
+        for i in seg.owners:
+            assert seg.assignment[i] == best_house(market, i, remaining)
+        assert seg.feasible == check_feasibility(
+            market, seg.houses, seg.owners, remaining
+        )
+        remaining -= set(seg.houses)
+
+
+class TestSeededSteps:
+    def test_criterion_5_markets(self):
+        # The 112 markets of acceptance criterion 5, same seeds.
+        seed = 20_000
+        for _ in range(16):
+            for agents in range(2, 9):
+                market = random_market(
+                    GenParams(agents, 1 + seed % agents, seed)
+                )
+                seed += 1
+                for tiebreak in range(8):
+                    out = solve_with_tiebreak(market, tiebreak)
+                    assert_steps_from_scratch(market, out)
+
+    def test_draws_per_solve_are_near_linear(self, monkeypatch):
+        # Drawing a live root takes house_count / live draws per step on
+        # average, about H * ln(H) over the chain's H steps.
+        draws = 0
+
+        class CountingSplitMix64(SplitMix64):
+            def next_u64(self):
+                nonlocal draws
+                draws += 1
+                return super().next_u64()
+
+        monkeypatch.setattr(houseswap.htts, "SplitMix64", CountingSplitMix64)
+        house_count = 300
+        market = chain_market(house_count)
+        expected = htts_solve(market)
+        for tiebreak in range(8):
+            draws = 0
+            out = solve_with_tiebreak(market, tiebreak)
+            assert out == expected
+            assert draws <= 4 * house_count * math.log(house_count)
 
 
 def assert_matches_rebuild(market, tiebreak_seed):
