@@ -77,11 +77,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     market = _read_market(args.market)
     allocation = parse_allocation_text(_read_text(args.allocation), market)
     if not market.feasible_allocation(allocation.assignment):
-        print(
-            "error: allocation does not match the endowment counts",
-            file=sys.stderr,
-        )
-        return 1
+        raise ValidationError("allocation does not match the endowment counts")
     # The strict core has at most one member, so the solver's core
     # settles membership at any size; only other allocations need the
     # capped brute-force search for a blocking coalition.
@@ -133,17 +129,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         sizes = [int(tok) for tok in args.sizes.split(",") if tok]
     except ValueError:
-        print(f"error: invalid size list {args.sizes!r}", file=sys.stderr)
-        return 1
+        sizes = []
     if not sizes or any(not 1 <= s <= sys.maxsize for s in sizes):
-        print(f"error: invalid size list {args.sizes!r}", file=sys.stderr)
-        return 1
+        raise InvalidParams(f"invalid size list {args.sizes!r}")
     if not (args.ratio > 0 and math.isfinite(args.ratio * max(sizes))):
-        print(f"error: invalid ratio {args.ratio}", file=sys.stderr)
-        return 1
+        raise InvalidParams(f"invalid ratio {args.ratio}")
     if args.repeats < 1:
-        print(f"error: invalid repeats {args.repeats}", file=sys.stderr)
-        return 1
+        raise InvalidParams(f"invalid repeats {args.repeats}")
     # Check every size's parameters before the table starts.
     size_params = [
         GenParams(max(houses, round(args.ratio * houses)), houses, args.seed)

@@ -11,16 +11,21 @@ out-neighbors of vertex ``v`` as a sequence.  The search calls it exactly
 once for each vertex it reaches, when it first reaches it, and keeps the
 result in that vertex's call frame; vertices it never reaches are never
 asked about.  Depth-first searches start from ``roots`` in the given
-order.  Index, low-link and on-stack state is kept only for reached
-vertices, so a search costs the vertices and arcs it touches, whatever
-the size of the graph.  With successors in ascending order, as the solver
-returns them, and roots in a fixed order, every traversal is fully
-deterministic.
+order.  Its only per-vertex state is one low-link map over the reached
+vertices (Pearce's variant of Tarjan): an emitted vertex's entry becomes
+a sentinel above every index, so no on-stack set is needed, and a search
+costs the vertices and arcs it touches, whatever the size of the graph.
+With successors in ascending order, as the solver returns them, and
+roots in a fixed order, every traversal is fully deterministic.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Iterable, Iterator, Sequence
+
+# Low-link of an emitted vertex; an int compares faster than float("inf").
+_DONE = sys.maxsize
 
 
 class SccStats:
@@ -45,51 +50,44 @@ def scc_components(
     reaches.  Closing the iterator early is fine: traversal work done so
     far is flushed into ``stats``.
     """
-    index: dict[int, int] = {}
     low: dict[int, int] = {}
-    on_stack: set[int] = set()
     comp_stack: list[int] = []
     scanned = 0
     try:
         for root in roots:
-            if root in index:
+            if root in low:
                 continue
-            call: list[list] = [[root, None, 0]]
+            low[root] = len(low)
+            comp_stack.append(root)
+            call = [(root, low[root], iter(successors(root)))]
             while call:
-                frame = call[-1]
-                v, neighbors, ptr = frame
-                if neighbors is None:
-                    index[v] = low[v] = len(index)
-                    comp_stack.append(v)
-                    on_stack.add(v)
-                    neighbors = frame[1] = successors(v)
-                descended = False
-                while ptr < len(neighbors):
-                    w = neighbors[ptr]
-                    ptr += 1
+                v, index, arcs = call[-1]
+                for w in arcs:
                     scanned += 1
-                    if w not in index:
-                        frame[2] = ptr
-                        call.append([w, None, 0])
-                        descended = True
+                    if w not in low:
+                        low[w] = len(low)
+                        comp_stack.append(w)
+                        call.append((w, low[w], iter(successors(w))))
                         break
-                    if w in on_stack and index[w] < low[v]:
-                        low[v] = index[w]
-                if descended:
-                    continue
-                call.pop()
-                if call and low[v] < low[call[-1][0]]:
-                    low[call[-1][0]] = low[v]
-                if low[v] == index[v]:
+                    if low[w] < low[v]:
+                        low[v] = low[w]
+                else:
+                    call.pop()
+                    if low[v] < index:
+                        # Not its component's root: hand the parent its low.
+                        u = call[-1][0]
+                        if low[v] < low[u]:
+                            low[u] = low[v]
+                        continue
                     component = []
                     while True:
                         w = comp_stack.pop()
-                        on_stack.discard(w)
+                        low[w] = _DONE
                         component.append(w)
                         if w == v:
                             break
                     yield component
     finally:
         if stats is not None:
-            stats.vertices_visited += len(index)
+            stats.vertices_visited += len(low)
             stats.arcs_scanned += scanned

@@ -120,8 +120,11 @@ def solve_with_tiebreak(
     be picked (a root inside it picks it).  Different seeds may pick
     different sink SCCs when several exist, so traces can differ, but the
     verdict never does, and a found allocation is identical for every
-    seed.
+    seed.  A seed outside [0, 2**64) raises ValueError rather than repeat
+    the seed splitmix64 would reduce it to.
     """
+    if not 0 <= tiebreak_seed < 1 << 64:
+        raise ValueError("tiebreak_seed must be in [0, 2**64)")
     return _solve(market, SplitMix64(tiebreak_seed), counter)
 
 
@@ -138,8 +141,8 @@ def _solve(
 
     alive = bytearray(b"\x01") * house_count
     cursors = [0] * market.agent_count
+    # Final once an owner's type is traded: on success, the allocation.
     targets = [0] * market.agent_count
-    assignment = [-1] * market.agent_count
 
     def successors(h: HouseId) -> list[HouseId]:
         # Point each owner of h at its favorite remaining type, advancing
@@ -213,14 +216,12 @@ def _solve(
         if not feasible:
             return SolveOutcome(None, tuple(trace), step)
 
-        for i in seg_owners:
-            assignment[i] = targets[i]
         for h in seg_houses:
             alive[h] = 0
         live_houses -= len(seg_houses)
         live_owners -= len(seg_owners)
 
-    return SolveOutcome(Allocation(tuple(assignment)), tuple(trace), None)
+    return SolveOutcome(Allocation(tuple(targets)), tuple(trace), None)
 
 
 def format_segment(market: Market, segment: Segment) -> str:

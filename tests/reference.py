@@ -12,13 +12,14 @@ solver must match it segment for segment and count for count.
 
 ``tarjan_scc`` drives ``houseswap.digraph.scc_components``; its
 partition is cross-checked against a transitive-closure oracle in
-``test_digraph.py``, so the two do not vouch for each other unchecked.
+``test_digraph.py``, and the search itself, step by step, against
+``textbook_tarjan``, so the two do not vouch for each other unchecked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from houseswap.digraph import SccStats, scc_components
 from houseswap.htts import OpCounter, Segment, SolveOutcome
@@ -78,6 +79,58 @@ def tarjan_scc(
             component_of[v] = idx
         components.append(tuple(sorted(component)))
     return SccPartition(tuple(components), tuple(component_of))
+
+
+def textbook_tarjan(
+    successors: Callable[[int], Sequence[int]],
+    roots: Iterable[int],
+    stats: SccStats | None = None,
+) -> Iterator[list[int]]:
+    """Tarjan's algorithm as published (SIAM J. Comput. 1972): recursive,
+    with an index map, a low-link map and an on-stack set.
+
+    Same protocol as ``scc_components``: a generator of components in
+    emission order, each in stack-pop order, that reads ``successors(v)``
+    once when it first reaches ``v`` and flushes its counts into ``stats``
+    when closed.  Recursion depth is the depth of the search, so it is
+    for small graphs only.
+    """
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    on_stack: set[int] = set()
+    stack: list[int] = []
+    scanned = 0
+
+    def strongconnect(v: int) -> Iterator[list[int]]:
+        nonlocal scanned
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        for w in successors(v):
+            scanned += 1
+            if w not in index:
+                yield from strongconnect(w)
+                low[v] = min(low[v], low[w])
+            elif w in on_stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            component = []
+            while True:
+                w = stack.pop()
+                on_stack.remove(w)
+                component.append(w)
+                if w == v:
+                    break
+            yield component
+
+    try:
+        for root in roots:
+            if root not in index:
+                yield from strongconnect(root)
+    finally:
+        if stats is not None:
+            stats.vertices_visited += len(index)
+            stats.arcs_scanned += scanned
 
 
 def condensation(g: Digraph, partition: SccPartition | None = None) -> Digraph:

@@ -309,6 +309,37 @@ class TestBench:
         assert out.err.count("\n") == 1
 
 
+class TestErrorLines:
+    """Bad input found by a subcommand goes through ``main``'s one error
+    path: exit 1, nothing on stdout, exactly this line on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bench", "--sizes", "abc"], "error: invalid size list 'abc'\n"),
+            (["bench", "--sizes", "0"], "error: invalid size list '0'\n"),
+            (
+                ["bench", "--sizes", "10", "--ratio", "0"],
+                "error: invalid ratio 0.0\n",
+            ),
+            (
+                ["bench", "--sizes", "10", "--repeats", "0"],
+                "error: invalid repeats 0\n",
+            ),
+            # Two copies of h1 do not exist in the worked market.
+            (
+                ["verify", WORKED, str(FIXTURES / "wrong_counts.alloc")],
+                "error: allocation does not match the endowment counts\n",
+            ),
+        ],
+    )
+    def test_exact_line(self, argv, message, capsys):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == message
+
+
 class TestUsageErrors:
     """Usage errors are bad input: exit 1 with one ``error:`` line, never
     argparse's exit 2, which would read as an empty core."""

@@ -5,19 +5,22 @@ definition: boolean transitive closure, then equivalence classes of
 mutual reachability.  The emission-order and sink properties are what
 the solver actually relies on, so they get their own checks: the
 sink-SCC cases drive ``scc_components`` exactly the way the solver
-does.
+does.  ``TestMatchesTextbookTarjan`` checks the iterative search step by
+step against a recursive textbook Tarjan: the components it emits, the
+order it reads successors in, and its counts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from houseswap.digraph import SccStats, scc_components
-from reference import Digraph, condensation, tarjan_scc
+from reference import Digraph, condensation, tarjan_scc, textbook_tarjan
 
 
 def closure_scc_oracle(g: Digraph) -> set[frozenset[int]]:
@@ -243,6 +246,51 @@ class TestSuccessorsReadOnce:
         assert set(sink) <= set(reads) <= reachable(g, roots[:1])
         assert all(k == 1 for k in reads.values())
         assert sum(reads.values()) == stats.vertices_visited
+
+
+def traced_search(search, g: Digraph, roots, first_only: bool):
+    """Run ``search`` (``scc_components`` or ``textbook_tarjan``) on
+    ``g``, in full or up to its first component as the solver does;
+    returns the components, the ``successors`` calls in order and the
+    two ``SccStats`` counts."""
+    calls: list[int] = []
+
+    def successors(v):
+        calls.append(v)
+        return g.adj[v]
+
+    stats = SccStats()
+    gen = search(successors, roots, stats)
+    try:
+        components = list(islice(gen, 1 if first_only else None))
+    finally:
+        gen.close()
+    return components, calls, (stats.vertices_visited, stats.arcs_scanned)
+
+
+@st.composite
+def graphs_and_roots(draw):
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    roots = draw(st.lists(vertex, max_size=2 * n))
+    return Digraph.from_arcs(n, arcs), roots
+
+
+class TestMatchesTextbookTarjan:
+    @given(graphs_and_roots(), st.booleans())
+    @settings(max_examples=300)
+    def test_same_search(self, graph_and_roots, first_only):
+        g, roots = graph_and_roots
+        assert traced_search(
+            scc_components, g, roots, first_only
+        ) == traced_search(textbook_tarjan, g, roots, first_only)
+
+    def test_worked_shape(self):
+        g = Digraph.from_arcs(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)])
+        expected = ([[3, 2], [1, 0]], [0, 1, 2, 3], (4, 5))
+        assert traced_search(scc_components, g, [0], False) == expected
+        assert traced_search(textbook_tarjan, g, [0], False) == expected
 
 
 class TestCondensation:

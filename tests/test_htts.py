@@ -230,6 +230,16 @@ class TestTiebreak:
         # Seeds 0 and 3 (among others) start from different pairs.
         assert firsts == {(0, 1), (2, 3)}
 
+    def test_seed_outside_two_to_the_64_rejected(self):
+        # Reducing mod 2**64 would make -1 solve as 2**64 - 1 silently.
+        m = two_swap_pairs_market()
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError) as exc:
+                solve_with_tiebreak(m, seed)
+            assert str(exc.value) == "tiebreak_seed must be in [0, 2**64)"
+        for seed in (0, 2**64 - 1):
+            assert solve_with_tiebreak(m, seed).core_found
+
     def test_empty_core_verdict_for_all_seeds(self):
         for m in (empty_core_market(), two_step_empty_core_market()):
             for seed in range(8):
