@@ -72,9 +72,10 @@ def load_market(text: str) -> Market:
 
 
 def serialize_market(market: Market) -> str:
-    lines = ["houses: " + " ".join(market.house_names)]
+    names = market.house_names
+    lines = ["houses: " + " ".join(names)]
     for i in range(market.agent_count):
-        prefs = " ".join(market.house_name(h) for h in market.prefs[i])
+        prefs = " ".join([names[h] for h in market.prefs[i]])
         lines.append(
             f"agent {market.agent_name(i)} "
             f"endow {market.house_name(market.endowments[i])} "

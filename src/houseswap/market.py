@@ -69,7 +69,7 @@ class Market:
     agent ``i``'s strict ranking of all house types, most preferred
     first.  Preference sequences may be lazy (see
     :class:`houseswap.rng.ShuffledRange`); every consumer touches them
-    only through ``len`` and indexing.
+    only through ``len``, indexing and iteration.
 
     Instances are immutable and safe to share across threads.  Construct
     untrusted input through :func:`validate_market`; the raw constructor
@@ -153,18 +153,48 @@ class Allocation:
         return len(self.assignment)
 
 
+def _ranking_error(
+    agent: RawAgent, house_index: dict[str, HouseId]
+) -> ValidationError:
+    """The first fault of ``agent``'s preference list, walking it in
+    order: an unknown or repeated name at its position, else an
+    incomplete list."""
+    seen: set[str] = set()
+    for house in agent.prefs:
+        if house not in house_index:
+            return UnknownName(
+                f"agent {agent.name!r} ranks unknown house {house!r}"
+            )
+        if house in seen:
+            return DuplicateInPreferences(
+                f"agent {agent.name!r} ranks house {house!r} twice"
+            )
+        seen.add(house)
+    return IncompletePreferences(
+        f"agent {agent.name!r} ranks {len(seen)} of "
+        f"{len(house_index)} house types"
+    )
+
+
 def validate_market(raw: RawMarket) -> Market:
     """Check a raw description against the model and build a Market.
 
     Rejects duplicate or unknown names, preference lists that are not
     permutations of the declared house types, and house types nobody is
     endowed with.  An empty market (no houses, no agents) is valid.
+
+    A preference list is accepted when it maps to ``H`` house ids, all
+    distinct; any other list is walked in order and rejected with its
+    first fault (unknown or repeated name at its position, else
+    incomplete), so the error does not depend on how the check is made.
     """
     house_index: dict[str, HouseId] = {}
     for name in raw.houses:
         if name in house_index:
             raise DuplicateName(f"duplicate house name {name!r}")
         house_index[name] = len(house_index)
+    house_count = len(house_index)
+    lookup = house_index.__getitem__
 
     agent_names: list[str] = []
     seen_agents: set[str] = set()
@@ -179,27 +209,15 @@ def validate_market(raw: RawMarket) -> Market:
                 f"agent {agent.name!r} endowed with unknown house "
                 f"{agent.endowment!r}"
             )
-        ranking: list[HouseId] = []
-        seen_houses: set[str] = set()
-        for house in agent.prefs:
-            if house not in house_index:
-                raise UnknownName(
-                    f"agent {agent.name!r} ranks unknown house {house!r}"
-                )
-            if house in seen_houses:
-                raise DuplicateInPreferences(
-                    f"agent {agent.name!r} ranks house {house!r} twice"
-                )
-            seen_houses.add(house)
-            ranking.append(house_index[house])
-        if len(ranking) != len(raw.houses):
-            raise IncompletePreferences(
-                f"agent {agent.name!r} ranks {len(ranking)} of "
-                f"{len(raw.houses)} house types"
-            )
+        try:
+            ranking = tuple(map(lookup, agent.prefs))
+        except KeyError:
+            raise _ranking_error(agent, house_index) from None
+        if len(ranking) != house_count or len(set(ranking)) != house_count:
+            raise _ranking_error(agent, house_index)
         agent_names.append(agent.name)
         endowments.append(house_index[agent.endowment])
-        prefs.append(tuple(ranking))
+        prefs.append(ranking)
 
     endowed = set(endowments)
     for name, h in house_index.items():

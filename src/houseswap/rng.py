@@ -11,11 +11,15 @@ reimplements the same scheme.  The scheme is pinned:
 ``ShuffledRange`` produces exactly the permutation the eager shuffle
 would, but materializes elements on demand, so a market whose preference
 lists are only ever read up to some prefix never pays for the full lists.
+Its one shuffle loop runs the stream and the bounded draw inline, so
+indexed reads and iteration both run at the draw floor; iteration
+materializes at most about twice the prefix it has yielded.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from itertools import islice
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -54,10 +58,14 @@ class ShuffledRange(Sequence):
     """Lazy uniform permutation of ``range(n)``.
 
     Element ``k`` is computed on first access by running the Fisher-Yates
-    shuffle forward to position ``k``; pending swaps are kept in a dict so
-    memory stays proportional to the materialized prefix.  Two instances
-    compare equal iff they have the same ``(n, seed)``, which implies the
-    same full sequence.
+    shuffle forward to position ``k``, with the splitmix64 draws fused
+    into the loop; pending swaps are kept in a dict so memory stays
+    proportional to the materialized prefix.  Iteration yields the
+    materialized prefix and, on running out at position ``k``, extends it
+    to ``2k``: a caller that stops after ``p`` elements (``in``,
+    ``index``, ``next(...)`` over a filter) has materialized at most
+    ``2p + 1``.  Two instances compare equal iff they have the same
+    ``(n, seed)``, which implies the same full sequence.
     """
 
     __slots__ = ("n", "seed", "_rng", "_done", "_ahead")
@@ -70,13 +78,19 @@ class ShuffledRange(Sequence):
         self._ahead: dict[int, int] = {}
 
     def _extend_to(self, k: int) -> None:
+        # ``SplitMix64.next_u64`` and ``below`` inlined: the stream state
+        # stays in a local and is stored back once, after the loop.
         done = self._done
         ahead = self._ahead
         n = self.n
-        below = self._rng.below
+        rng = self._rng
+        state = rng.state
         i = len(done)
         while i <= k:
-            j = i + below(n - i)
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            j = i + (((z ^ (z >> 31)) * (n - i)) >> 64)
             val_i = ahead.pop(i, i)
             if j == i:
                 done.append(val_i)
@@ -84,6 +98,22 @@ class ShuffledRange(Sequence):
                 done.append(ahead.pop(j, j))
                 ahead[j] = val_i
             i += 1
+        rng.state = state
+
+    def __iter__(self) -> Iterator[int]:
+        # ``it`` walks ``done`` by position.  It is never run to the end
+        # (an exhausted list iterator stays exhausted), so it resumes
+        # after each extension.
+        done = self._done
+        n = self.n
+        it = iter(done)
+        k = 0
+        while k < n:
+            if k == len(done):
+                self._extend_to(min(n - 1, 2 * k))
+            m = len(done)
+            yield from islice(it, m - k)
+            k = m
 
     def __len__(self) -> int:
         return self.n

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,6 +104,31 @@ class TestSerializeMarket:
             tuple(again.prefs[i]) == tuple(m.prefs[i])
             for i in range(m.agent_count)
         )
+
+
+    # sha256 of the serialized text, frozen from the generator's pinned
+    # draw layout; any change to the draws, the shuffle or the text
+    # format changes them.
+    @pytest.mark.parametrize(
+        "agents, houses, seed, digest",
+        [
+            (
+                1200,
+                600,
+                13,
+                "067bc376bdec5a1ecd9e2ac6b651df04387cbce3a19568f207b1dbd45d2842cb",
+            ),
+            (
+                300,
+                300,
+                7,
+                "98f05a252b0f070a3b5b02c0eb43f15784c316d8ed40abb713b2a320ccef44de",
+            ),
+        ],
+    )
+    def test_generated_text_is_frozen(self, agents, houses, seed, digest):
+        text = serialize_market(random_market(GenParams(agents, houses, seed)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestAllocationFormat:

@@ -7,6 +7,9 @@ bounded draw, and the front-to-back Fisher-Yates pattern.
 
 from __future__ import annotations
 
+import hashlib
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,17 @@ SEED0_VECTOR = [
     0xF88BB8A8724C81EC,
     0x1B39896A51A8749B,
 ]
+
+
+# sha256 of repr([ShuffledRange(600, s)[k] for s in range(8) for k in
+# range(600)]): eight full permutations, frozen.
+FULL_PERMUTATIONS_SHA256 = (
+    "5622514c61616ce6a8da2613b5c9784b50dc601612841ef528a26da95b409760"
+)
+
+
+def _sha256(values) -> str:
+    return hashlib.sha256(repr(values).encode()).hexdigest()
 
 
 class TestSplitMix64:
@@ -125,3 +139,47 @@ class TestShuffledRange:
         lazy = ShuffledRange(10**6, 42)
         lazy[3]
         assert len(lazy._done) == 4
+
+
+class TestShuffledRangeIteration:
+    def test_frozen_permutations_by_index(self):
+        values = [ShuffledRange(600, s)[k] for s in range(8) for k in range(600)]
+        assert _sha256(values) == FULL_PERMUTATIONS_SHA256
+
+    def test_frozen_permutations_by_list(self):
+        values = [x for s in range(8) for x in list(ShuffledRange(600, s))]
+        assert _sha256(values) == FULL_PERMUTATIONS_SHA256
+
+    def test_list_after_out_of_order_reads(self):
+        eager = fisher_yates(list(range(600)), SplitMix64(5))
+        lazy = ShuffledRange(600, 5)
+        for k in (417, 3, 599, 0, 250):
+            assert lazy[k] == eager[k]
+        assert list(lazy) == eager
+
+    def test_indexed_reads_during_iteration(self):
+        eager = fisher_yates(list(range(600)), SplitMix64(9))
+        lazy = ShuffledRange(600, 9)
+        it = iter(lazy)
+        got = list(islice(it, 5))
+        assert lazy[300] == eager[300]
+        got += list(islice(it, 100))
+        assert lazy[599] == eager[599]
+        got += list(it)
+        assert got == eager
+
+    @pytest.mark.parametrize("consumed", [1, 2, 3, 10, 1000, 4097])
+    def test_iteration_materializes_about_twice_the_consumed_prefix(
+        self, consumed
+    ):
+        lazy = ShuffledRange(10**6, 42)
+        taken = list(islice(iter(lazy), consumed))
+        assert taken == [lazy[k] for k in range(consumed)]
+        assert len(lazy._done) <= 2 * consumed + 1
+
+    def test_membership_of_first_element_is_constant_work(self):
+        lazy = ShuffledRange(10**6, 42)
+        assert ShuffledRange(10**6, 42)[0] in lazy
+        assert len(lazy._done) <= 3
+        assert lazy.index(lazy[0]) == 0
+        assert len(lazy._done) <= 3
