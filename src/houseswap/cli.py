@@ -22,7 +22,7 @@ from .fileformat import (
     serialize_market,
 )
 from .gen import GenParams, InvalidParams, random_market
-from .htts import OpCounter, format_segment, htts_solve, solve_with_tiebreak
+from .htts import OpCounter, format_trace, htts_solve, solve_with_tiebreak
 from .market import Market, ValidationError
 from .oracle import CapExceeded, enumerate_strict_core, find_blocking_coalition
 
@@ -65,9 +65,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         out = sys.stderr
         print(f"EMPTY CORE at step {outcome.failed_step}", file=out)
-    if args.trace:
-        for seg in outcome.trace:
-            print(format_segment(market, seg), file=out)
+    if args.trace and outcome.trace:
+        print(format_trace(market, outcome.trace), file=out)
     if args.stats:
         print(_stats_line(counter), file=out)
     return 0 if outcome.core_found else 2

@@ -33,10 +33,9 @@ def _last_line(text: str) -> int:
 
 def _significant_lines(text: str):
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, stripped.split()
+        tokens = line.split()
+        if tokens and not tokens[0].startswith("#"):
+            yield lineno, tokens
 
 
 def parse_market_text(text: str) -> RawMarket:

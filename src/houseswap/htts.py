@@ -31,10 +31,11 @@ Each agent carries a cursor over their preference list that only ever
 advances past removed house types, so recomputing favorites costs
 amortized O(house_count) per agent across the whole solve.  A step's
 Tarjan search keeps state only for the types it reaches, so it costs the
-rows it reaches, at most every remaining owner once.  This keeps total
-work within O(house_count**2 + house_count * agent_count); in practice a
-step reads only the path from its root to the first sink.  A seeded solve
-makes house_count / live draws per step on average, O(house_count *
+rows it reaches, at most every remaining owner once, and adds that work
+to the solve's one ``SccStats``.  Total work stays within
+O(house_count**2 + house_count * agent_count); in practice a step reads
+only the path from its root to the first sink.  A seeded solve makes
+house_count / live draws per step on average, O(house_count *
 log(house_count)) over the whole solve.
 """
 
@@ -82,7 +83,8 @@ class OpCounter:
     remaining owner once per step, whether or not Tarjan reads the row
     holding its pointer (rows are built on demand, so this is not the
     number of pointers actually computed).  ``scc_work`` counts vertices
-    visited plus arcs scanned by Tarjan, ``feasibility_comparisons``
+    visited plus arcs scanned by every step's Tarjan search, added once
+    from the solve's one ``SccStats``.  ``feasibility_comparisons``
     counts per-type checks plus per-owner demand tallies.  All three are
     deterministic for a given market and tie-break seed, unlike wall
     time.
@@ -164,10 +166,10 @@ def _solve(
     live_houses = house_count
     live_owners = market.agent_count
     trace: list[Segment] = []
-    step = 0
+    stats = SccStats()
+    feasible = True
 
-    while live_houses:
-        step += 1
+    while live_houses and feasible:
         # Every live owner has one pointer in this step's graph, whether
         # or not Tarjan reads its row.
         counter.arcs_built += live_owners
@@ -180,13 +182,11 @@ def _solve(
             root = tiebreak_rng.below(house_count)
             while not alive[root]:
                 root = tiebreak_rng.below(house_count)
-        stats = SccStats()
         gen = scc_components(successors, (root,), stats)
         try:
             component = next(gen)
         finally:
             gen.close()
-        counter.scc_work += stats.vertices_visited + stats.arcs_scanned
 
         seg_houses = sorted(component)
         seg_set = set(seg_houses)
@@ -206,22 +206,22 @@ def _solve(
 
         seg_owners.sort()
         segment = Segment(
-            step=step,
+            step=len(trace) + 1,
             houses=tuple(seg_houses),
             owners=tuple(seg_owners),
             assignment={i: targets[i] for i in seg_owners},
             feasible=feasible,
         )
         trace.append(segment)
-        if not feasible:
-            return SolveOutcome(None, tuple(trace), step)
-
         for h in seg_houses:
             alive[h] = 0
         live_houses -= len(seg_houses)
         live_owners -= len(seg_owners)
 
-    return SolveOutcome(Allocation(tuple(targets)), tuple(trace), None)
+    counter.scc_work += stats.vertices_visited + stats.arcs_scanned
+    if feasible:
+        return SolveOutcome(Allocation(tuple(targets)), tuple(trace), None)
+    return SolveOutcome(None, tuple(trace), len(trace))
 
 
 def format_segment(market: Market, segment: Segment) -> str:

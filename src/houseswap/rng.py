@@ -11,9 +11,9 @@ reimplements the same scheme.  The scheme is pinned:
 ``ShuffledRange`` produces exactly the permutation the eager shuffle
 would, but materializes elements on demand, so a market whose preference
 lists are only ever read up to some prefix never pays for the full lists.
-Its one shuffle loop runs the stream and the bounded draw inline, so
-indexed reads and iteration both run at the draw floor; iteration
-materializes at most about twice the prefix it has yielded.
+Its one shuffle loop runs the stream, held as one int, and the bounded
+draw inline, so indexed reads and iteration both run at the draw floor;
+iteration materializes at most about twice the prefix it has yielded.
 """
 
 from __future__ import annotations
@@ -59,21 +59,21 @@ class ShuffledRange(Sequence):
 
     Element ``k`` is computed on first access by running the Fisher-Yates
     shuffle forward to position ``k``, with the splitmix64 draws fused
-    into the loop; pending swaps are kept in a dict so memory stays
-    proportional to the materialized prefix.  Iteration yields the
-    materialized prefix and, on running out at position ``k``, extends it
-    to ``2k``: a caller that stops after ``p`` elements (``in``,
-    ``index``, ``next(...)`` over a filter) has materialized at most
-    ``2p + 1``.  Two instances compare equal iff they have the same
-    ``(n, seed)``, which implies the same full sequence.
+    into the loop on the int ``_state`` (the reduced seed at first);
+    pending swaps are kept in a dict so memory stays proportional to the
+    materialized prefix.  Iteration yields the materialized prefix and,
+    on running out at position ``k``, extends it to ``2k``: a caller
+    that stops after ``p`` elements (``in``, ``index``, ``next(...)``
+    over a filter) has materialized at most ``2p + 1``.  Two instances
+    compare equal iff they have the same ``(n, seed)``, which implies the
+    same full sequence.
     """
 
-    __slots__ = ("n", "seed", "_rng", "_done", "_ahead")
+    __slots__ = ("n", "seed", "_state", "_done", "_ahead")
 
     def __init__(self, n: int, seed: int) -> None:
         self.n = n
-        self.seed = seed & _MASK64
-        self._rng = SplitMix64(seed)
+        self.seed = self._state = seed & _MASK64
         self._done: list[int] = []
         self._ahead: dict[int, int] = {}
 
@@ -83,8 +83,7 @@ class ShuffledRange(Sequence):
         done = self._done
         ahead = self._ahead
         n = self.n
-        rng = self._rng
-        state = rng.state
+        state = self._state
         i = len(done)
         while i <= k:
             state = (state + _GAMMA) & _MASK64
@@ -98,7 +97,7 @@ class ShuffledRange(Sequence):
                 done.append(ahead.pop(j, j))
                 ahead[j] = val_i
             i += 1
-        rng.state = state
+        self._state = state
 
     def __iter__(self) -> Iterator[int]:
         # ``it`` walks ``done`` by position.  It is never run to the end

@@ -57,6 +57,14 @@ class TestSolve:
             "step=1 houses={h1,h2} owners={1,2,3} feasible=false\n"
         )
 
+    def test_trace_of_empty_market_prints_nothing(self, tmp_path, capsys):
+        empty = tmp_path / "empty.market"
+        empty.write_text("houses:\n")
+        assert main(["solve", str(empty), "--trace"]) == 0
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ""
+
     def test_stats_flag(self, capsys):
         assert main(["solve", WORKED, "--stats"]) == 0
         stats_line = capsys.readouterr().out.splitlines()[-1]

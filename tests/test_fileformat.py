@@ -39,6 +39,14 @@ class TestParseMarket:
         m = load_market(text)
         assert m.agent_count == 1
 
+    def test_indented_comment_ignored(self):
+        raw = parse_market_text("houses: h1\n  # comment\nagent a endow h1 prefs h1\n")
+        assert [agent.name for agent in raw.agents] == ["a"]
+
+    def test_hash_inside_name_is_not_a_comment(self):
+        m = load_market("houses: h1\nagent a#1 endow h1 prefs h1\n")
+        assert m.agent_names == ("a#1",)
+
     def test_empty_input(self):
         with pytest.raises(ParseError) as exc:
             parse_market_text("")

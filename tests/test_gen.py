@@ -20,6 +20,7 @@ from houseswap import (
     random_market,
     serialize_market,
 )
+from houseswap import rng
 from houseswap.rng import ShuffledRange
 
 FROZEN_6_4_SEED42 = """\
@@ -116,6 +117,22 @@ class TestRandomMarket:
     def test_preferences_stay_lazy(self):
         m = random_market(GenParams(50, 30, 1))
         assert all(isinstance(p, ShuffledRange) for p in m.prefs)
+
+    def test_preference_lists_hold_no_stream_object(self, monkeypatch):
+        # A list keeps its splitmix64 state as an int; building and
+        # reading the lists must not construct a SplitMix64 per list.
+        built = []
+
+        class CountingSplitMix64(rng.SplitMix64):
+            def __init__(self, seed: int) -> None:
+                super().__init__(seed)
+                built.append(seed)
+
+        monkeypatch.setattr(rng, "SplitMix64", CountingSplitMix64)
+        m = random_market(GenParams(50, 20, 3))
+        for p in m.prefs:
+            list(p)
+        assert len(built) == 0
 
     @given(
         st.integers(1, 12),
