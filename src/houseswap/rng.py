@@ -8,21 +8,69 @@ reimplements the same scheme.  The scheme is pinned:
 * bounded draw: ``(next_u64() * n) >> 64``,
 * shuffle: Fisher-Yates from the front, ``j = i + below(n - i)``.
 
+The k-th splitmix64 output depends only on ``state + k * gamma``, so a
+run of draws can be computed at once: ``_draw_block`` packs the run's
+states into 128-bit lanes of one int and finalizes every lane with a few
+whole-int operations.  ``_shuffle_prefix`` runs Fisher-Yates over a plain
+list from such a run, and ``fisher_yates`` is that routine on a whole list.
+
 ``ShuffledRange`` produces exactly the permutation the eager shuffle
 would, but materializes elements on demand, so a market whose preference
 lists are only ever read up to some prefix never pays for the full lists.
-Its one shuffle loop runs the stream, held as one int, and the bounded
-draw inline, so indexed reads and iteration both run at the draw floor;
-iteration materializes at most about twice the prefix it has yielded.
+It has two regimes.  Short extensions, such as the solver's one-position
+reads on long lists, run a sparse loop with the stream step and the
+bounded draw inline and keep the pending swaps in a dict.  The first
+extension that covers at least ``1/_DENSE_SHARE`` of the positions still
+pending moves them into a dense tail list, and it and every later
+extension run ``_shuffle_prefix`` on that tail.  The tail is at most
+``_DENSE_SHARE`` times what the switching extension materializes, so
+memory stays within a constant factor of the materialized prefix, and a
+complete shuffle keeps neither the dict nor the tail.  Iteration
+materializes at most about twice the prefix it has yielded.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+import sys
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+# ``ShuffledRange`` switches to its dense tail on the first extension that
+# covers at least 1/16 of the positions still pending.  Building the tail
+# is one pass over those positions, so that pass and the tail's memory are
+# at most 16 times what the switching extension materializes, while the
+# solver's one-position reads on long lists stay on the dict, whose cost
+# is per materialized element only.
+_DENSE_SHARE = 16
+
+# ``_draw_block`` finalizes at most 2**_BLOCK_BITS lanes at a time, so each
+# whole-int operation works on a few kilobytes.
+_BLOCK_BITS = 8
+_BLOCK = 1 << _BLOCK_BITS
+
+
+def _packed(values: Iterable[int]) -> int:
+    """``values`` in successive 128-bit lanes of one int, lowest first."""
+    lanes = b"".join(v.to_bytes(16, "little") for v in values)
+    return int.from_bytes(lanes, "little")
+
+
+def _lane_constants(lanes: int) -> tuple[int, int, int]:
+    """For ``lanes`` 128-bit lanes: 1 in every lane, ``(k + 1) * gamma``
+    in lane ``k``, and the low 64 bits of every lane set."""
+    return (
+        _packed([1] * lanes),
+        _packed(k * _GAMMA for k in range(1, lanes + 1)),
+        _packed([_MASK64] * lanes),
+    )
+
+
+# Indexed by bit count: the constants for 1, 2, 4, ..., _BLOCK lanes.
+_LANES = [_lane_constants(1 << b) for b in range(_BLOCK_BITS + 1)]
 
 
 class SplitMix64:
@@ -45,12 +93,56 @@ class SplitMix64:
         return (self.next_u64() * n) >> 64
 
 
-def fisher_yates(items: list, rng: SplitMix64) -> list:
-    """Shuffle ``items`` in place with the pinned draw pattern."""
+def _draw_block(state: int, count: int) -> tuple[array, int]:
+    """The next ``count`` outputs of the splitmix64 stream at ``state``,
+    and the stream state after them.
+
+    Lane ``k`` of one int holds the stream's state after ``k + 1`` steps.
+    Masked, a lane is below 2**64, so its product with a 64-bit constant
+    stays inside its 128 bits.  The bits a shift spills into a lane's
+    upper half are cleared by the repeated 64-bit mask, and after the
+    last shift they are left out when the lanes are read back.
+    """
+    out = array("Q")
+    while count > 0:
+        c = min(count, _BLOCK)
+        bits = (c - 1).bit_length()
+        ones, steps, low = _LANES[bits]
+        spare = (1 << bits) - c
+        if spare:
+            # Drop the low ``spare`` lanes and start that many steps back.
+            ones >>= 128 * spare
+            steps >>= 128 * spare
+            low >>= 128 * spare
+        z = (((state - spare * _GAMMA) & _MASK64) * ones + steps) & low
+        z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+        z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+        z ^= z >> 31
+        lanes = array("Q", z.to_bytes(16 * c, "little"))
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        out += lanes[::2]
+        state = (state + c * _GAMMA) & _MASK64
+        count -= c
+    return out, state
+
+
+def _shuffle_prefix(items: list, start: int, stop: int, state: int) -> int:
+    """Run the pinned Fisher-Yates over positions ``start .. stop - 1`` of
+    ``items``, drawing from the stream at ``state``; return the state
+    after those ``stop - start`` draws."""
     n = len(items)
-    for i in range(n - 1):
-        j = i + rng.below(n - i)
+    draws, state = _draw_block(state, stop - start)
+    for i, r in zip(range(start, stop), draws):
+        j = i + ((r * (n - i)) >> 64)
         items[i], items[j] = items[j], items[i]
+    return state
+
+
+def fisher_yates(items: list, rng: SplitMix64) -> list:
+    """Shuffle ``items`` in place with the pinned draw pattern: one draw
+    for every position but the last."""
+    rng.state = _shuffle_prefix(items, 0, max(len(items) - 1, 0), rng.state)
     return items
 
 
@@ -58,33 +150,44 @@ class ShuffledRange(Sequence):
     """Lazy uniform permutation of ``range(n)``.
 
     Element ``k`` is computed on first access by running the Fisher-Yates
-    shuffle forward to position ``k``, with the splitmix64 draws fused
-    into the loop on the int ``_state`` (the reduced seed at first);
-    pending swaps are kept in a dict so memory stays proportional to the
-    materialized prefix.  Iteration yields the materialized prefix and,
-    on running out at position ``k``, extends it to ``2k``: a caller
-    that stops after ``p`` elements (``in``, ``index``, ``next(...)``
-    over a filter) has materialized at most ``2p + 1``.  Two instances
-    compare equal iff they have the same ``(n, seed)``, which implies the
-    same full sequence.
+    shuffle forward to position ``k`` on the stream state ``_state`` (the
+    reduced seed at first).  An extension that covers less than
+    ``1/_DENSE_SHARE`` of the pending positions runs the sparse loop, with
+    the splitmix64 step fused in and the pending swaps in the dict
+    ``_ahead``, so memory stays proportional to the materialized prefix.
+    The first extension that covers more moves the pending positions into
+    the list ``_tail`` (``_ahead`` becomes ``None``); it and every later
+    extension shuffle the tail with block draws.  The tail holds at most
+    ``_DENSE_SHARE`` times the positions that extension materialized, and
+    it is dropped when the shuffle completes.  Iteration yields the
+    materialized prefix and, on running out at position ``k``, extends it
+    to ``2k``: a caller that stops after ``p`` elements (``in``,
+    ``index``, ``next(...)`` over a filter) has materialized at most
+    ``2p + 1``.  Two instances compare equal iff they have the same
+    ``(n, seed)``, which implies the same full sequence.
     """
 
-    __slots__ = ("n", "seed", "_state", "_done", "_ahead")
+    __slots__ = ("n", "seed", "_state", "_done", "_ahead", "_tail")
 
     def __init__(self, n: int, seed: int) -> None:
         self.n = n
         self.seed = self._state = seed & _MASK64
         self._done: list[int] = []
-        self._ahead: dict[int, int] = {}
+        self._ahead: dict[int, int] | None = {}
+        self._tail: list[int] | None = None
 
     def _extend_to(self, k: int) -> None:
-        # ``SplitMix64.next_u64`` and ``below`` inlined: the stream state
-        # stays in a local and is stored back once, after the loop.
         done = self._done
         ahead = self._ahead
         n = self.n
-        state = self._state
         i = len(done)
+        if ahead is None or (k + 1 - i) * _DENSE_SHARE >= n - i:
+            self._extend_dense(k)
+            return
+        # ``SplitMix64.next_u64`` and ``below`` inlined: the stream state
+        # stays in a local and is stored back once, after the loop.  The
+        # test above keeps this loop short of position n - 1.
+        state = self._state
         while i <= k:
             state = (state + _GAMMA) & _MASK64
             z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -98,6 +201,22 @@ class ShuffledRange(Sequence):
                 ahead[j] = val_i
             i += 1
         self._state = state
+
+    def _extend_dense(self, k: int) -> None:
+        done = self._done
+        n = self.n
+        i = len(done)
+        tail = self._tail
+        if tail is None:
+            tail = self._tail = list(range(i, n))
+            for j, val in self._ahead.items():
+                tail[j - i] = val
+            self._ahead = None
+        base = n - len(tail)  # the position of tail[0]
+        self._state = _shuffle_prefix(tail, i - base, k + 1 - base, self._state)
+        done.extend(tail[i - base : k + 1 - base])
+        if k + 1 == n:
+            self._tail = None
 
     def __iter__(self) -> Iterator[int]:
         # ``it`` walks ``done`` by position.  It is never run to the end

@@ -14,6 +14,10 @@ solver must match it segment for segment and count for count.
 partition is cross-checked against a transitive-closure oracle in
 ``test_digraph.py``, and the search itself, step by step, against
 ``textbook_tarjan``, so the two do not vouch for each other unchecked.
+
+``scalar_fisher_yates`` is the pinned shuffle one ``next_u64`` at a
+time, as ``houseswap.rng`` ran it before it drew in blocks; the block
+draws and both shuffles in ``rng`` are checked against it.
 """
 
 from __future__ import annotations
@@ -328,3 +332,12 @@ def rebuild_solve(
         remaining = [h for h in remaining if alive[h]]
 
     return SolveOutcome(Allocation(tuple(assignment)), tuple(trace), None)
+
+
+def scalar_fisher_yates(items: list, rng: SplitMix64) -> list:
+    """Shuffle ``items`` in place with the pinned draw pattern."""
+    n = len(items)
+    for i in range(n - 1):
+        j = i + rng.below(n - i)
+        items[i], items[j] = items[j], items[i]
+    return items

@@ -7,14 +7,17 @@ bounded draw, and the front-to-back Fisher-Yates pattern.
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import tracemalloc
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from houseswap.rng import ShuffledRange, SplitMix64, fisher_yates
+from houseswap.rng import ShuffledRange, SplitMix64, _draw_block, fisher_yates
+from reference import scalar_fisher_yates
 
 # Independently published test vector for splitmix64 seeded with 0.
 SEED0_VECTOR = [
@@ -68,6 +71,25 @@ class TestSplitMix64:
         assert a.state == b.state
 
 
+SEEDS = st.one_of(
+    st.integers(0, 2**64 - 1), st.integers(2**64 - 5000, 2**64 - 1)
+)
+
+
+class TestDrawBlock:
+    @given(
+        SEEDS,
+        st.one_of(st.sampled_from([0, 1, 2, 600, 4097]), st.integers(0, 700)),
+    )
+    @example(2**64 - 1, 3)  # the stream state wraps after the first draw
+    @settings(max_examples=80, deadline=None)
+    def test_equals_successive_next_u64(self, seed, count):
+        rng = SplitMix64(seed)
+        draws, state = _draw_block(rng.state, count)
+        assert list(draws) == [rng.next_u64() for _ in range(count)]
+        assert state == rng.state
+
+
 class TestFisherYates:
     def test_frozen_permutation(self):
         assert fisher_yates(list(range(10)), SplitMix64(99)) == [
@@ -90,6 +112,15 @@ class TestFisherYates:
         fisher_yates([], rng)
         fisher_yates([7], rng)
         assert rng.state == SplitMix64(11).state
+
+    @given(SEEDS, st.integers(0, 2000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_reference(self, seed, n):
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        assert fisher_yates(list(range(n)), rng) == scalar_fisher_yates(
+            list(range(n)), ref
+        )
+        assert rng.state == ref.state
 
 
 class TestShuffledRange:
@@ -139,6 +170,58 @@ class TestShuffledRange:
         lazy = ShuffledRange(10**6, 42)
         lazy[3]
         assert len(lazy._done) == 4
+
+    @given(
+        SEEDS,
+        st.integers(0, 2000),
+        st.lists(
+            st.tuples(st.sampled_from(["read", "iterate"]), st.floats(0, 1)),
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_reads_match_scalar_reference(self, seed, n, ops):
+        # Short reads run the sparse loop and long ones the dense tail;
+        # the closing full read always ends on the dense tail.
+        eager = scalar_fisher_yates(list(range(n)), SplitMix64(seed))
+        lazy = ShuffledRange(n, seed)
+        for op, share in ops:
+            k = int(share * n)
+            if op == "read" and k < n:
+                assert lazy[k] == eager[k]
+            else:
+                assert list(islice(lazy, k)) == eager[:k]
+        assert list(lazy) == eager
+
+    def test_complete_shuffle_keeps_about_a_list(self):
+        # The pending-swap dict and the dense tail are dropped once every
+        # position is out, so a read list costs about an eager one.
+        def retained(build):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                kept = build()
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0] - before, kept
+            finally:
+                tracemalloc.stop()
+
+        def lazy_lists():
+            lists = [ShuffledRange(600, s) for s in range(200)]
+            for lazy in lists:
+                list(lazy)
+            return lists
+
+        lazy_bytes, lazy = retained(lazy_lists)
+        eager_bytes, eager = retained(
+            lambda: [
+                fisher_yates(list(range(600)), SplitMix64(s))
+                for s in range(200)
+            ]
+        )
+        assert [list(p) for p in lazy] == eager
+        assert lazy_bytes <= 1.2 * eager_bytes
 
 
 class TestShuffledRangeIteration:
