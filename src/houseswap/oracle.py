@@ -222,16 +222,9 @@ def ttc_solve(market: Market, cap: int = DEFAULT_CAP) -> Allocation:
     remaining = set(range(market.house_count))
     assignment: list[HouseId] = [-1] * n
     unassigned = n
-    # pointed[i] is agent i's last favorite, read at cursor[i] - 1.  Once
-    # it has left, the scan resumes at cursor[i]: every house before it
-    # has left too.
-    cursor = [0] * n
-    pointed: list[HouseId] = [-1] * n
-    start = 0
 
     while unassigned:
-        while assignment[start] != -1:
-            start += 1
+        start = next(i for i in range(n) if assignment[i] == -1)
         seen_at: dict[AgentId, int] = {}
         path: list[AgentId] = []
         favorites: list[HouseId] = []
@@ -239,15 +232,7 @@ def ttc_solve(market: Market, cap: int = DEFAULT_CAP) -> Allocation:
         while i not in seen_at:
             seen_at[i] = len(path)
             path.append(i)
-            favorite = pointed[i]
-            if favorite not in remaining:
-                prefs, c = market.prefs[i], cursor[i]
-                favorite = prefs[c]
-                while favorite not in remaining:
-                    c += 1
-                    favorite = prefs[c]
-                cursor[i] = c + 1
-                pointed[i] = favorite
+            favorite = next(h for h in market.prefs[i] if h in remaining)
             favorites.append(favorite)
             i = owner_of[favorite]
         for k in range(seen_at[i], len(path)):

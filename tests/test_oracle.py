@@ -8,11 +8,8 @@ shared machinery.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
-from collections import Counter
-from collections.abc import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -231,31 +228,6 @@ class TestTtcSolve:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             ttc_solve(random_market(GenParams(9, 9, 0)))
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_reads_each_preference_position_once(self, seed):
-        class CountingPrefs(Sequence):
-            def __init__(self, agent, prefs, reads):
-                self.agent, self.prefs, self.reads = agent, prefs, reads
-
-            def __len__(self):
-                return len(self.prefs)
-
-            def __getitem__(self, k):
-                self.reads[self.agent, k] += 1
-                return self.prefs[k]
-
-        m = random_market(GenParams(300, 300, seed))
-        reads = Counter()
-        counted = dataclasses.replace(
-            m,
-            prefs=tuple(
-                CountingPrefs(i, p, reads) for i, p in enumerate(m.prefs)
-            ),
-        )
-        mu = ttc_solve(counted, cap=300)
-        assert mu == ttc_solve(m, cap=300)
-        assert reads and max(reads.values()) == 1
 
     @given(st.integers(0, 2**32), st.integers(2, 7))
     @settings(max_examples=40, deadline=None)
