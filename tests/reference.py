@@ -18,6 +18,9 @@ partition is cross-checked against a transitive-closure oracle in
 ``scalar_fisher_yates`` is the pinned shuffle one ``next_u64`` at a
 time, as ``houseswap.rng`` ran it before it drew in blocks; the block
 draws and both shuffles in ``rng`` are checked against it.
+``ScalarSplitMix64`` is the stream one splitmix64 step per draw, as
+``houseswap.rng.SplitMix64`` computed it before it buffered block draws;
+the buffered stream is checked against it operation by operation.
 """
 
 from __future__ import annotations
@@ -332,6 +335,30 @@ def rebuild_solve(
         remaining = [h for h in remaining if alive[h]]
 
     return SolveOutcome(Allocation(tuple(assignment)), tuple(trace), None)
+
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+class ScalarSplitMix64:
+    """splitmix64 stream; ``seed`` is reduced mod 2**64."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, seed: int) -> None:
+        self.state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self.state = (self.state + _GAMMA) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def below(self, n: int) -> int:
+        """Uniform-ish draw in [0, n) via the multiply-shift reduction."""
+        return (self.next_u64() * n) >> 64
 
 
 def scalar_fisher_yates(items: list, rng: SplitMix64) -> list:

@@ -312,6 +312,9 @@ class TestSeededSteps:
             draws = 0
             out = solve_with_tiebreak(market, tiebreak)
             assert out == expected
+            # Every seeded step draws its root at least once, so a count
+            # of zero means the draws went uncounted.
+            assert len(out.trace) <= draws
             assert draws <= 4 * house_count * math.log(house_count)
 
 

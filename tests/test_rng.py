@@ -16,8 +16,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from houseswap.rng import ShuffledRange, SplitMix64, _draw_block, fisher_yates
-from reference import scalar_fisher_yates
+from houseswap.rng import (
+    _FILL_MAX,
+    ShuffledRange,
+    SplitMix64,
+    _draw_block,
+    fisher_yates,
+)
+from reference import ScalarSplitMix64, scalar_fisher_yates
 
 # Independently published test vector for splitmix64 seeded with 0.
 SEED0_VECTOR = [
@@ -75,6 +81,63 @@ SEEDS = st.one_of(
     st.integers(0, 2**64 - 1), st.integers(2**64 - 5000, 2**64 - 1)
 )
 
+# One operation on a stream: a run of ``next_u64`` draws (long runs cross
+# several buffer refills), a bounded draw, an assignment to ``state`` or a
+# ``fisher_yates`` shuffle of ``range(n)``.
+STREAM_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("next"), st.integers(1, 700)),
+        st.tuples(st.just("below"), st.integers(1, 2**64)),
+        st.tuples(st.just("assign"), SEEDS),
+        st.tuples(st.just("shuffle"), st.integers(0, 700)),
+    ),
+    max_size=10,
+)
+
+
+class TestBufferedStream:
+    @given(SEEDS, STREAM_OPS)
+    @example(
+        2**64 - 1,
+        [("next", 5), ("shuffle", 3), ("next", 700), ("below", 7),
+         ("assign", 2**64 - 2), ("next", 300), ("shuffle", 600), ("next", 9)],
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_reference(self, seed, ops):
+        rng, ref = SplitMix64(seed), ScalarSplitMix64(seed)
+        for op, arg in ops:
+            if op == "next":
+                got = [rng.next_u64() for _ in range(arg)]
+                want = [ref.next_u64() for _ in range(arg)]
+            elif op == "below":
+                got, want = rng.below(arg), ref.below(arg)
+            elif op == "assign":
+                rng.state = ref.state = arg
+                got = want = None
+            else:
+                got = fisher_yates(list(range(arg)), rng)
+                want = scalar_fisher_yates(list(range(arg)), ref)
+            assert got == want
+            assert rng.state == ref.state
+
+    def test_pending_draws_are_bounded_and_freed_by_assignment(self):
+        rng = SplitMix64(3)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(10_000):
+                rng.next_u64()
+            pending = len(rng._pending)
+            retained = tracemalloc.get_traced_memory()[0] - before
+            rng.state = rng.state
+            after_assign = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert 0 < pending <= _FILL_MAX
+        assert retained < 16 * 1024
+        assert after_assign < 1024
+
 
 class TestDrawBlock:
     @given(
@@ -82,6 +145,9 @@ class TestDrawBlock:
         st.one_of(st.sampled_from([0, 1, 2, 600, 4097]), st.integers(0, 700)),
     )
     @example(2**64 - 1, 3)  # the stream state wraps after the first draw
+    @example(7, 3)  # counts 3 and 4 take the scalar step, 5 the lanes
+    @example(7, 4)
+    @example(7, 5)
     @settings(max_examples=80, deadline=None)
     def test_equals_successive_next_u64(self, seed, count):
         rng = SplitMix64(seed)
