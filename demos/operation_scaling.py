@@ -3,9 +3,10 @@ Measuring how the solver scales
 ===============================
 
 Wall time depends on the machine; operation counts do not.  The solver
-counts three kinds of work: owner pointers in each step's graph,
-vertices and arcs touched by the component search, and per-segment
-feasibility comparisons.  This script doubles the house
+counts three kinds of work: every live owner once per step (the
+``arcs`` column, not the owner pointers actually computed, which are
+built on demand), vertices and arcs touched by the component search,
+and per-segment feasibility comparisons.  This script doubles the house
 count a few times and fits a log-log slope to the totals.
 """
 

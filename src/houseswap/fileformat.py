@@ -6,8 +6,9 @@ types, then one line per agent::
     houses: h1 h2 h3
     agent alice endow h1 prefs h2 h1 h3
 
-Lines whose first non-blank character is ``#`` are comments; blank lines
-are ignored.  Names are unique whitespace-free tokens.
+Lines end at ``\n``; the ``\r`` of a CRLF ending is blank.  Lines whose
+first non-blank character is ``#`` are comments; blank lines are ignored.
+Names are unique whitespace-free tokens.
 
 Allocation file: one line per agent, in agent declaration order::
 
@@ -28,11 +29,14 @@ class ParseError(ValueError):
 def _last_line(text: str) -> int:
     """Number of the file's last line, 1 for an empty file: where an
     error about something missing from the file is reported."""
-    return max(1, len(text.splitlines()))
+    return max(1, text.count("\n") + (not text.endswith("\n")))
 
 
 def _significant_lines(text: str):
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Split at "\n" only, as ``cli._read_text`` numbers lines:
+    # ``str.splitlines`` also breaks at a form feed, NEL or line
+    # separator, which would end a comment early.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         tokens = line.split()
         if tokens and not tokens[0].startswith("#"):
             yield lineno, tokens

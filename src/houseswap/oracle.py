@@ -212,6 +212,10 @@ def ttc_solve(market: Market, cap: int = DEFAULT_CAP) -> Allocation:
     following pointers from the lowest-id unassigned agent must reach a
     cycle, whose members trade and leave.  With distinct house types and
     strict preferences this yields the unique strict-core allocation.
+
+    TTC runs in polynomial time, but it shares the oracle's agent ``cap``
+    (default 8) and raises ``CapExceeded`` above it; a large market passes
+    ``cap=market.agent_count``, as ``perfbench/run.py`` does.
     """
     _check_cap(market, cap)
     n = market.agent_count

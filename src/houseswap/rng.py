@@ -8,33 +8,15 @@ reimplements the same scheme.  The scheme is pinned:
 * bounded draw: ``(next_u64() * n) >> 64``,
 * shuffle: Fisher-Yates from the front, ``j = i + below(n - i)``.
 
-The k-th splitmix64 output depends only on ``state + k * gamma``, so a
-run of draws can be computed at once: ``_draw_block`` packs the run's
-states into 128-bit lanes of one int and finalizes every lane with a few
-whole-int operations (a run of fewer than ``_LANE_RUN`` draws takes the
-scalar step instead).  ``_shuffle_prefix`` runs Fisher-Yates over a plain
-list from such a run, and ``fisher_yates`` is that routine on a whole list.
-
-``SplitMix64`` serves its one-at-a-time draws from such runs too, out of
-a buffer whose fills start small and double up to ``_FILL_MAX`` draws.  Its
-``state`` is the logical position, after the last output returned, and
-assigning it empties the buffer, so ``fisher_yates``, which reads the
-state, shuffles from block draws and writes the state back, sees the
-same stream as scalar draws would.
+The k-th splitmix64 output depends only on ``state + k * gamma``, so
+``_draw_block`` computes a whole run of draws at once.
+``_shuffle_prefix`` runs Fisher-Yates over a plain list from such a run,
+and ``fisher_yates`` is that routine on a whole list.  ``SplitMix64``
+serves its one-at-a-time draws from such runs too.
 
 ``ShuffledRange`` produces exactly the permutation the eager shuffle
 would, but materializes elements on demand, so a market whose preference
 lists are only ever read up to some prefix never pays for the full lists.
-It has two regimes.  Short extensions, such as the solver's one-position
-reads on long lists, run a sparse loop with the stream step and the
-bounded draw inline and keep the pending swaps in a dict.  The first
-extension that covers at least ``1/_DENSE_SHARE`` of the positions still
-pending moves them into a dense tail list, and it and every later
-extension run ``_shuffle_prefix`` on that tail.  The tail is at most
-``_DENSE_SHARE`` times what the switching extension materializes, so
-memory stays within a constant factor of the materialized prefix, and a
-complete shuffle keeps neither the dict nor the tail.  Iteration
-materializes at most about twice the prefix it has yielded.
 """
 
 from __future__ import annotations
@@ -58,19 +40,12 @@ _DENSE_SHARE = 16
 # whole-int operation works on a few kilobytes.
 _BLOCK = 256
 
-# Runs shorter than this take the scalar splitmix64 step: a lane-packed
-# run has a fixed cost of about 2.5 us, and the two break even at about
-# 5 draws (CPython 3.11, x86-64).
-_LANE_RUN = 5
-
-# A ``SplitMix64`` buffers ``_FIRST_FILL`` draws at its first fill, and
-# each later fill doubles, up to ``_FILL_MAX``.  Fills of 256 draws left
-# a planted 6000x3000 build's peak resident set about 330 KB higher
-# (VmHWM, glibc malloc, CPython 3.11) with the same live bytes by
+# A ``SplitMix64`` buffers ``_FILL`` draws at each fill.  Fills of 256
+# draws left a planted 6000x3000 build's peak resident set about 330 KB
+# higher (VmHWM, glibc malloc, CPython 3.11) with the same live bytes by
 # tracemalloc: their kilobyte-sized temporaries fragment the heap between
-# the build's own allocations.  Fills of up to 64 left it unchanged.
-_FIRST_FILL = 8
-_FILL_MAX = 64
+# the build's own allocations.  Fills of 64 left it unchanged.
+_FILL = 64
 
 
 def _packed(values: Iterable[int]) -> int:
@@ -89,18 +64,16 @@ _LOW = _packed([_MASK64] * _BLOCK)
 class SplitMix64:
     """splitmix64 stream; ``seed`` is reduced mod 2**64.
 
-    Outputs are served from a buffer of pending draws filled by
-    ``_draw_block``.  A fresh stream fills ``_FIRST_FILL`` (8) draws and
-    each later fill doubles, up to ``_FILL_MAX`` (64), so a stream used
-    for a few draws computes at most about twice what it uses, and one
-    used for many holds at most ``_FILL_MAX`` pending.  ``state`` is the
-    stream's logical position: the state after the last output returned,
-    whatever the buffer holds.  Assigning it (reduced mod 2**64) moves the
-    stream there, empties the buffer and restarts the fills at
-    ``_FIRST_FILL``.
+    Outputs are served from a buffer of at most ``_FILL`` pending draws,
+    filled by ``_draw_block``.  ``state`` is the stream's logical
+    position: the state after the last output returned, whatever the
+    buffer holds.  Assigning it (reduced mod 2**64) moves the stream there
+    and empties the buffer, so ``fisher_yates``, which reads the state,
+    shuffles from block draws and writes the state back, sees the same
+    stream as one-at-a-time draws would.
     """
 
-    __slots__ = ("_end", "_pending", "_fill")
+    __slots__ = ("_end", "_pending")
 
     def __init__(self, seed: int) -> None:
         self.state = seed
@@ -114,7 +87,6 @@ class SplitMix64:
     def state(self, value: int) -> None:
         self._end = value & _MASK64
         self._pending = []
-        self._fill = _FIRST_FILL
 
     def next_u64(self) -> int:
         try:
@@ -123,9 +95,8 @@ class SplitMix64:
             return self._refill()
 
     def _refill(self) -> int:
-        """Buffer the next ``_fill`` outputs and return the first."""
-        draws, self._end = _draw_block(self._end, self._fill)
-        self._fill = min(2 * self._fill, _FILL_MAX)
+        """Buffer the next ``_FILL`` outputs and return the first."""
+        draws, self._end = _draw_block(self._end, _FILL)
         draws.reverse()  # so that ``pop`` serves them in stream order
         self._pending = draws
         return draws.pop()
@@ -151,17 +122,8 @@ def _draw_block(state: int, count: int) -> tuple[list[int], int]:
     reads them without the ``array`` extension module, whose loading adds
     about 75 KB to the resident set of every process that imports this
     module (CPython 3.11, Linux x86-64).
-
-    A run of fewer than ``_LANE_RUN`` draws takes the scalar step.
     """
     out: list[int] = []
-    if count < _LANE_RUN:
-        for _ in range(count):
-            state = (state + _GAMMA) & _MASK64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            out.append(z ^ (z >> 31))
-        return out, state
     while count > 0:
         c = min(count, _BLOCK)
         ones, steps, low = _ONES, _STEPS, _LOW
@@ -240,8 +202,11 @@ class ShuffledRange(Sequence):
             self._extend_dense(k)
             return
         # ``SplitMix64.next_u64`` and ``below`` inlined: the stream state
-        # stays in a local and is stored back once, after the loop.  The
-        # test above keeps this loop short of position n - 1.
+        # stays in a local and is stored back once, after the loop.  These
+        # runs are mostly one draw long, and a one-draw ``_draw_block``
+        # call takes about 3.4 us against 0.8 us for the inline step
+        # (CPython 3.11, x86-64).  The test above keeps this loop short of
+        # position n - 1.
         state = self._state
         while i <= k:
             state = (state + _GAMMA) & _MASK64

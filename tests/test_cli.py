@@ -89,6 +89,17 @@ class TestSolve:
         assert main(["solve", str(bad)]) == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_form_feed_stays_inside_a_comment(self, tmp_path, capsys):
+        market = tmp_path / "ff.market"
+        market.write_bytes(
+            b"houses: h1 h2\n# note\x0cmore\n"
+            b"agent a endow h1 prefs h1 h2\nagent b endow h2 prefs h2\n"
+        )
+        assert main(["solve", str(market)]) == 1
+        assert capsys.readouterr().err == (
+            "error: agent 'b' ranks 1 of 2 house types\n"
+        )
+
     def test_non_utf8_market_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.market"
         bad.write_bytes(b"houses: h1\nagent a endow h1 prefs h1 \xff\n")

@@ -43,6 +43,31 @@ class TestParseMarket:
         raw = parse_market_text("houses: h1\n  # comment\nagent a endow h1 prefs h1\n")
         assert [agent.name for agent in raw.agents] == ["a"]
 
+    @pytest.mark.parametrize("sep", ["\x0c", "\x85", "\u2028"])
+    def test_line_break_characters_stay_inside_a_comment(self, sep):
+        # ``str.splitlines`` breaks at these; only "\n" ends a line.
+        text = (
+            f"houses: h1\n# note{sep}agent x\n"
+            "agent a endow h1 prefs h1\nagent b h1\n"
+        )
+        with pytest.raises(ParseError) as exc:
+            parse_market_text(text)
+        assert str(exc.value) == (
+            "line 4: expected 'agent <name> endow <house> prefs <house> ...'"
+        )
+
+    def test_crlf_line_endings(self):
+        lf = "houses: h1 h2\nagent a endow h1 prefs h2 h1\nagent b endow h2 prefs h1 h2\n"
+        crlf = load_market(lf.replace("\n", "\r\n"))
+        m = load_market(lf)
+        assert crlf.house_names == m.house_names
+        assert crlf.agent_names == m.agent_names
+        assert crlf.endowments == m.endowments
+        assert crlf.prefs == m.prefs
+        with pytest.raises(ParseError) as exc:
+            parse_market_text("# none\r\n\r\n# still none\r\n")
+        assert exc.value.line == 3
+
     def test_hash_inside_name_is_not_a_comment(self):
         m = load_market("houses: h1\nagent a#1 endow h1 prefs h1\n")
         assert m.agent_names == ("a#1",)
