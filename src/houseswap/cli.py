@@ -18,6 +18,7 @@ from .fileformat import (
     ParseError,
     load_market,
     parse_allocation_text,
+    read_text,
     serialize_allocation,
     serialize_market,
 )
@@ -27,22 +28,8 @@ from .market import Market, ValidationError
 from .oracle import CapExceeded, enumerate_strict_core, find_blocking_coalition
 
 
-def _read_text(path: str) -> str:
-    """Decode a UTF-8 input file; an undecodable byte is a ParseError
-    that names its line."""
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(
-            line, f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
-        ) from None
-
-
 def _read_market(path: str) -> Market:
-    return load_market(_read_text(path))
+    return load_market(read_text(path))
 
 
 def _stats_line(counter: OpCounter) -> str:
@@ -74,7 +61,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     market = _read_market(args.market)
-    allocation = parse_allocation_text(_read_text(args.allocation), market)
+    allocation = parse_allocation_text(read_text(args.allocation), market)
     if not market.feasible_allocation(allocation.assignment):
         raise ValidationError("allocation does not match the endowment counts")
     # The strict core has at most one member, so the solver's core
@@ -142,7 +129,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     ]
 
     print("H I wall_ns arcs scc feas")
-    totals: dict[int, list[int]] = {}
+    totals: dict[int, int] = {}
     for params in size_params:
         houses, agents = params.house_count, params.agent_count
         market = random_market(params)
@@ -155,12 +142,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"{houses} {agents} {wall} {counter.arcs_built} "
                 f"{counter.scc_work} {counter.feasibility_comparisons}"
             )
-            totals.setdefault(houses, []).append(counter.total())
+            # Counts are deterministic per market, so every repeat agrees.
+            totals[houses] = counter.total()
 
-    means = [
-        (houses, sum(runs) // len(runs)) for houses, runs in sorted(totals.items())
-    ]
-    slope = _fit_slope(means)
+    slope = _fit_slope(sorted(totals.items()))
     print("slope=n/a" if slope is None else f"slope={slope:.3f}")
     return 0
 

@@ -26,6 +26,20 @@ class ParseError(ValueError):
         self.line = line
 
 
+def read_text(path: str) -> str:
+    """Decode a UTF-8 input file; an undecodable byte is a ParseError
+    that names its line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            line, f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
+        ) from None
+
+
 def _last_line(text: str) -> int:
     """Number of the file's last line, 1 for an empty file: where an
     error about something missing from the file is reported."""
@@ -33,7 +47,7 @@ def _last_line(text: str) -> int:
 
 
 def _significant_lines(text: str):
-    # Split at "\n" only, as ``cli._read_text`` numbers lines:
+    # Split at "\n" only, as ``read_text`` numbers lines:
     # ``str.splitlines`` also breaks at a form feed, NEL or line
     # separator, which would end a comment early.
     for lineno, line in enumerate(text.split("\n"), start=1):

@@ -189,14 +189,13 @@ def _solve(
             gen.close()
 
         seg_houses = sorted(component)
-        seg_set = set(seg_houses)
         seg_owners: list[AgentId] = []
         demand = dict.fromkeys(seg_houses, 0)
         for h in seg_houses:
             for i in owners_by_house[h]:
                 t = targets[i]
                 # A sink SCC keeps every owner's favorite inside it.
-                assert t in seg_set
+                assert t in demand
                 demand[t] += 1
                 seg_owners.append(i)
         feasible = all(

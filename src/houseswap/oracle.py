@@ -6,8 +6,9 @@ sub-allocation that redistributes the coalition's own endowment so that
 all members are weakly better off and at least one strictly.  They exist
 to cross-check the polynomial solver, so they share no code with it.
 
-Everything is capped at a configurable agent count (default 8); beyond
-that the search space is unreasonable and callers get ``CapExceeded``.
+Everything is capped at a fixed 8 agents (``DEFAULT_CAP``); beyond that
+the search space is unreasonable and callers get ``CapExceeded``.  Only
+``ttc_solve`` takes a ``cap``, so the benchmark can run it at scale.
 """
 
 from __future__ import annotations
@@ -69,19 +70,13 @@ def _coalition_masks(n: int) -> tuple[int, ...]:
 class _BlockSearch:
     """Per-market state for repeated blocking-coalition searches."""
 
-    def __init__(self, market: Market, coalition: Sequence[AgentId] | None = None):
+    def __init__(self, market: Market):
         self.market = market
         self.rank = _rank_tables(market)
         endow = market.endowments
-        if coalition is None:
-            member_lists = [
-                [i for i in range(market.agent_count) if mask >> i & 1]
-                for mask in _coalition_masks(market.agent_count)
-            ]
-        else:
-            member_lists = [sorted(coalition)]
         self.groups = []
-        for members in member_lists:
+        for mask in _coalition_masks(market.agent_count):
+            members = [i for i in range(market.agent_count) if mask >> i & 1]
             counts = [0] * market.house_count
             pool = 0
             for i in members:
@@ -152,14 +147,12 @@ class _BlockSearch:
         return False
 
 
-def enumerate_feasible_allocations(
-    market: Market, cap: int = DEFAULT_CAP
-) -> Iterator[Allocation]:
+def enumerate_feasible_allocations(market: Market) -> Iterator[Allocation]:
     """Every distinct allocation matching the endowment multiset, in
     lexicographic order.  Copies of a type are interchangeable, so the
     count is agent_count! divided by the product of per-type
     endowment-count factorials."""
-    _check_cap(market, cap)
+    _check_cap(market, DEFAULT_CAP)
 
     def generate() -> Iterator[Allocation]:
         for assignment in sorted(set(itertools.permutations(market.endowments))):
@@ -169,36 +162,30 @@ def enumerate_feasible_allocations(
 
 
 def find_blocking_coalition(
-    market: Market,
-    mu: Allocation,
-    *,
-    coalition: Sequence[AgentId] | None = None,
-    cap: int = DEFAULT_CAP,
+    market: Market, mu: Allocation
 ) -> BlockingCertificate | None:
     """Search for a coalition that weakly blocks ``mu``.
 
     Coalitions are tried in ascending size (then bitmask) order, so the
     certificate returned is the first in that deterministic order;
-    ``None`` means ``mu`` is in the strict core.  ``coalition`` restricts
-    the search to one specific coalition.
+    ``None`` means ``mu`` is in the strict core.
     """
-    _check_cap(market, cap)
-    return _BlockSearch(market, coalition).find(mu.assignment)
+    _check_cap(market, DEFAULT_CAP)
+    return _BlockSearch(market).find(mu.assignment)
 
 
-def enumerate_strict_core(
-    market: Market, cap: int = DEFAULT_CAP
-) -> list[Allocation]:
+def enumerate_strict_core(market: Market) -> list[Allocation]:
     """All strict-core allocations, by definition.
 
     The result always has size 0 or 1 for markets in this model; that is
     asserted here and independently re-tested by the property suite.
     """
-    _check_cap(market, cap)
+    # Before _BlockSearch, which lists all 2**n coalitions.
+    _check_cap(market, DEFAULT_CAP)
     search = _BlockSearch(market)
     core = [
         mu
-        for mu in enumerate_feasible_allocations(market, cap)
+        for mu in enumerate_feasible_allocations(market)
         if search.find(mu.assignment) is None
     ]
     assert len(core) <= 1
@@ -213,9 +200,9 @@ def ttc_solve(market: Market, cap: int = DEFAULT_CAP) -> Allocation:
     cycle, whose members trade and leave.  With distinct house types and
     strict preferences this yields the unique strict-core allocation.
 
-    TTC runs in polynomial time, but it shares the oracle's agent ``cap``
-    (default 8) and raises ``CapExceeded`` above it; a large market passes
-    ``cap=market.agent_count``, as ``perfbench/run.py`` does.
+    TTC runs in polynomial time, but by default it keeps the brute
+    force's 8-agent cap and raises ``CapExceeded`` above it; a large
+    market passes ``cap=market.agent_count``, as ``perfbench/run.py`` does.
     """
     _check_cap(market, cap)
     n = market.agent_count

@@ -1,4 +1,4 @@
-"""Acceptance gate: six instrumented criteria, one printed line each.
+"""Acceptance gate: seven instrumented criteria, one printed line each.
 
 Run ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass/fail lines (without ``-s`` pytest shows them only on failure).
@@ -18,6 +18,10 @@ pass/fail lines (without ``-s`` pytest shows them only on failure).
    conservation, individual rationality, sink property, emission order,
    condensation acyclicity, operation bounds) hold on every instance
    from criteria 2 and 3.
+7. An injective market with 50,000 agents and house types finds its
+   core in exactly 557 steps; the allocation equals classic
+   top-trading-cycles and the solve under tie-break seed 1, and the
+   three calls take under C7_BOUND_S seconds together.
 """
 
 from __future__ import annotations
@@ -45,6 +49,11 @@ from reference import (
     condensation,
     tarjan_scc,
 )
+
+# Criterion 7's three calls took 2.28-2.69 s over seven fresh processes
+# on a 2-core VM (CPython 3.11); the bound is over 3x the slowest, for
+# drift.
+C7_BOUND_S = 10
 
 # Operation totals stay below OPS_BOUND_C * (H**2 + H*I) on every tested
 # instance; pinned from a measured worst case of 2.5 on tiny markets.
@@ -152,6 +161,21 @@ def test_criterion_4_operation_scaling():
         big = random_market(GenParams(100_000, 50_000, 7))
         elapsed = _timed(lambda: htts_solve(big))
         assert elapsed < 10
+
+
+def test_criterion_7_multistep_at_scale():
+    with criterion("7 multi-step solve at scale"):
+        m = random_market(GenParams(50_000, 50_000, 8))
+        start = time.perf_counter()
+        out = htts_solve(m)
+        ttc = ttc_solve(m, cap=m.agent_count)
+        tiebroken = solve_with_tiebreak(m, 1)
+        elapsed = time.perf_counter() - start
+        assert out.core_found
+        assert len(out.trace) == 557
+        assert out.allocation.assignment == ttc.assignment
+        assert tiebroken.allocation == out.allocation
+        assert elapsed < C7_BOUND_S
 
 
 def test_criterion_5_tiebreak_invariance():

@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,7 +70,7 @@ class TestSolve:
         assert main(["solve", WORKED, "--stats"]) == 0
         stats_line = capsys.readouterr().out.splitlines()[-1]
         counter = OpCounter()
-        htts_solve(load_market(open(WORKED).read()), counter=counter)
+        htts_solve(load_market(Path(WORKED).read_text()), counter=counter)
         assert stats_line == (
             f"arcs={counter.arcs_built} scc={counter.scc_work} "
             f"feas={counter.feasibility_comparisons}"

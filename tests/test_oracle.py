@@ -112,8 +112,6 @@ class TestEnumerateFeasibleAllocations:
         m = random_market(GenParams(9, 9, 0))
         with pytest.raises(CapExceeded):
             enumerate_feasible_allocations(m)
-        with pytest.raises(CapExceeded):
-            list(enumerate_feasible_allocations(worked_market(), cap=4))
 
 
 class TestFindBlockingCoalition:
@@ -132,14 +130,6 @@ class TestFindBlockingCoalition:
     def test_single_agent_unblocked(self):
         m = minimal_market()
         assert find_blocking_coalition(m, Allocation((0,))) is None
-
-    def test_restricted_to_one_coalition(self):
-        m = worked_market()
-        mu = Allocation(m.endowments)
-        assert find_blocking_coalition(m, mu, coalition=[0, 1]) is not None
-        # Agent 5 already holds h4's only copy... restricting to agents
-        # who cannot trade up among themselves finds nothing.
-        assert find_blocking_coalition(m, mu, coalition=[3]) is None
 
     def test_cap(self):
         m = random_market(GenParams(9, 9, 0))
@@ -177,13 +167,20 @@ class TestEnumerateStrictCore:
     @given(st.integers(0, 2**32), st.integers(1, 6))
     @settings(max_examples=25, deadline=None)
     def test_core_members_pareto_efficient(self, seed, agents):
-        # A core allocation admits no grand-coalition improvement.
+        # Straight from the ranks: no feasible allocation gives every
+        # agent a type ranked at least as high and some agent a higher one.
         m = random_market(GenParams(agents, 1 + seed % agents, seed))
+        rank = [
+            {h: r for r, h in enumerate(m.prefs[i])}
+            for i in range(m.agent_count)
+        ]
         for mu in enumerate_strict_core(m):
-            assert (
-                find_blocking_coalition(m, mu, coalition=range(m.agent_count))
-                is None
-            )
+            for nu in enumerate_feasible_allocations(m):
+                gains = [
+                    rank[i][mu[i]] - rank[i][nu[i]]
+                    for i in range(m.agent_count)
+                ]
+                assert not (min(gains) >= 0 and max(gains) > 0)
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
