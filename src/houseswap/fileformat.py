@@ -92,13 +92,16 @@ def serialize_market(market: Market) -> str:
     names = market.house_names
     lines = ["houses: " + " ".join(names)]
     for i in range(market.agent_count):
-        prefs = " ".join([names[h] for h in market.prefs[i]])
+        ranking = market.prefs[i]
+        ranking[len(ranking) - 1]  # completes a lazy ranking in one shuffle
+        prefs = " ".join([names[h] for h in ranking])
         lines.append(
             f"agent {market.agent_name(i)} "
             f"endow {market.house_name(market.endowments[i])} "
             f"prefs {prefs}"
         )
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def parse_allocation_text(text: str, market: Market) -> Allocation:

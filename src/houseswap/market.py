@@ -69,7 +69,8 @@ class Market:
     agent ``i``'s strict ranking of all house types, most preferred
     first.  Preference sequences may be lazy (see
     :class:`houseswap.rng.ShuffledRange`); every consumer touches them
-    only through ``len``, indexing and iteration.
+    only through ``len``, indexing and iteration; a consumer that reads
+    whole rankings may want ``ShuffledRange``'s note on doing so cheaply.
 
     Instances are immutable and safe to share across threads.  Construct
     untrusted input through :func:`validate_market`; the raw constructor

@@ -180,8 +180,11 @@ class ShuffledRange(Sequence):
     materialized prefix and, on running out at position ``k``, extends it
     to ``2k``: a caller that stops after ``p`` elements (``in``,
     ``index``, ``next(...)`` over a filter) has materialized at most
-    ``2p + 1``.  Two instances compare equal iff they have the same
-    ``(n, seed)``, which implies the same full sequence.
+    ``2p + 1``.  A caller that reads every element should read position
+    ``n - 1`` first: that completes the shuffle in one dense extension,
+    where iteration's doubling would first run the sparse loop over about
+    ``n / _DENSE_SHARE`` positions.  Two instances compare equal iff they
+    have the same ``(n, seed)``, which implies the same full sequence.
     """
 
     __slots__ = ("n", "seed", "_state", "_done", "_ahead", "_tail")

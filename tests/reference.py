@@ -15,6 +15,11 @@ partition is cross-checked against a transitive-closure oracle in
 ``test_digraph.py``, and the search itself, step by step, against
 ``textbook_tarjan``, so the two do not vouch for each other unchecked.
 
+``check_trace`` replays a solve's removals with per-agent cursors and
+checks each segment in time linear in the market's size plus the rank
+positions read, so it can run on every segment of solves far too large
+for the from-scratch helpers above.
+
 ``scalar_fisher_yates`` is the pinned shuffle one ``next_u64`` at a
 time, as ``houseswap.rng`` ran it before it drew in blocks; the block
 draws and both shuffles in ``rng`` are checked against it.
@@ -335,6 +340,102 @@ def rebuild_solve(
         remaining = [h for h in remaining if alive[h]]
 
     return SolveOutcome(Allocation(tuple(assignment)), tuple(trace), None)
+
+
+def check_trace(market: Market, outcome: SolveOutcome) -> None:
+    """Replay ``outcome``'s removals and check every segment; raise
+    AssertionError at the first fault.
+
+    Each agent's cursor only moves past removed types, so the favourites
+    cost the positions they read in total.  Each segment must hold live
+    types only, with exactly their owners, and be
+
+    * closed under its owners' favourites: each owner's favourite
+      remaining type lies in the segment and is its assignment;
+    * strongly connected along the arcs from each owner's endowment to
+      its favourite, which with closure makes it a sink SCC of its
+      step's pointing graph;
+    * flagged ``feasible`` exactly when, for every type in it, the
+      owners whose favourite it is number its copies.
+
+    Only the last segment may be infeasible, and the verdict, failed step
+    and allocation must follow from the segments.
+    """
+    prefs = market.prefs
+    endowments = market.endowments
+    owners_by_house = market.owners_by_house
+    alive = bytearray(b"\x01") * market.house_count
+    cursors = [0] * market.agent_count
+    assigned: dict[AgentId, HouseId] = {}
+    for step, seg in enumerate(outcome.trace, start=1):
+        assert seg.step == step, f"step {step} numbered {seg.step}"
+        assert step == 1 or outcome.trace[step - 2].feasible, (
+            f"step {step} follows an infeasible segment"
+        )
+        houses = set(seg.houses)
+        assert houses and len(houses) == len(seg.houses), (
+            f"step {step}: houses empty or repeated"
+        )
+        assert all(alive[h] for h in houses), f"step {step}: a removed type"
+        owners = [i for h in seg.houses for i in owners_by_house[h]]
+        assert len(seg.owners) == len(owners) and (
+            set(seg.owners) == set(owners) == set(seg.assignment)
+        ), f"step {step}: owners are not exactly the types' owners"
+
+        arcs: dict[HouseId, set[HouseId]] = {h: set() for h in houses}
+        demand = dict.fromkeys(houses, 0)
+        for i in owners:
+            ranking = prefs[i]
+            c = cursors[i]
+            while not alive[ranking[c]]:
+                c += 1
+            cursors[i] = c
+            favourite = ranking[c]
+            assert favourite in houses, (
+                f"step {step}: agent {i}'s favourite {favourite} is outside"
+            )
+            assert seg.assignment[i] == favourite, (
+                f"step {step}: agent {i} is not assigned its favourite"
+            )
+            arcs[endowments[i]].add(favourite)
+            demand[favourite] += 1
+        assert _strongly_connected(arcs), f"step {step}: not strongly connected"
+        feasible = all(demand[h] == len(owners_by_house[h]) for h in houses)
+        assert seg.feasible == feasible, f"step {step}: feasible flag is wrong"
+        for h in houses:
+            alive[h] = 0
+        assigned.update(seg.assignment)
+
+    if outcome.core_found:
+        assert outcome.failed_step is None
+        assert not any(alive), "a core leaves types unremoved"
+        assert outcome.allocation.assignment == tuple(
+            assigned[i] for i in range(market.agent_count)
+        ), "the allocation is not the segments' assignments"
+    else:
+        assert outcome.trace and not outcome.trace[-1].feasible
+        assert outcome.failed_step == len(outcome.trace)
+
+
+def _strongly_connected(arcs: dict[int, set[int]]) -> bool:
+    """Whether every vertex of ``arcs`` (vertex to successors, all inside
+    it) reaches every other, by one forward and one backward search."""
+    reverse: dict[int, list[int]] = {v: [] for v in arcs}
+    for u, successors in arcs.items():
+        for v in successors:
+            reverse[v].append(u)
+    root = next(iter(arcs))
+    for graph in (arcs, reverse):
+        seen = {root}
+        stack = [root]
+        while stack:
+            for w in graph[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != len(arcs):
+            return False
+    return True
 
 
 _MASK64 = (1 << 64) - 1

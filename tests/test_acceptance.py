@@ -21,7 +21,8 @@ pass/fail lines (without ``-s`` pytest shows them only on failure).
 7. An injective market with 50,000 agents and house types finds its
    core in exactly 557 steps; the allocation equals classic
    top-trading-cycles and the solve under tie-break seed 1, and the
-   three calls take under C7_BOUND_S seconds together.
+   three calls take under C7_BOUND_S seconds together.  Outside that
+   time, a linear replay checks every segment of both solves.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from reference import (
     best_house,
     build_pointing_graph,
     check_feasibility,
+    check_trace,
     condensation,
     tarjan_scc,
 )
@@ -176,6 +178,8 @@ def test_criterion_7_multistep_at_scale():
         assert out.allocation.assignment == ttc.assignment
         assert tiebroken.allocation == out.allocation
         assert elapsed < C7_BOUND_S
+        check_trace(m, out)
+        check_trace(m, tiebroken)
 
 
 def test_criterion_5_tiebreak_invariance():

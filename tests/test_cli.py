@@ -6,6 +6,7 @@ smoke test at the bottom checks the installed entry point end to end.
 
 from __future__ import annotations
 
+import hashlib
 import re
 import subprocess
 import sys
@@ -244,6 +245,18 @@ class TestGen:
         assert out.out == ""
         assert out.err.startswith("error: seed")
         assert out.err.count("\n") == 1
+
+    def test_benchmark_size_matches_frozen_digest(self, capsys):
+        # The `file` benchmark's gen child, byte for byte: the digest is
+        # test_fileformat.py's test_generated_text_is_frozen for 1200x600
+        # seed 13.
+        assert main([
+            "gen", "--agents", "1200", "--houses", "600", "--seed", "13",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "067bc376bdec5a1ecd9e2ac6b651df04387cbce3a19568f207b1dbd45d2842cb"
+        )
 
     def test_gen_then_solve(self, tmp_path, capsys):
         main(["gen", "--agents", "8", "--houses", "8", "--seed", "3"])

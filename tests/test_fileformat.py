@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -22,6 +23,8 @@ from houseswap import (
     serialize_allocation,
     serialize_market,
 )
+from houseswap.rng import ShuffledRange
+from reference import ScalarSplitMix64, scalar_fisher_yates
 
 
 class TestParseMarket:
@@ -162,6 +165,72 @@ class TestSerializeMarket:
     def test_generated_text_is_frozen(self, agents, houses, seed, digest):
         text = serialize_market(random_market(GenParams(agents, houses, seed)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# Injective, so rankings have the benchmark's length of 600 and the
+# solve runs 56 steps, reading up to 339 positions of a ranking.
+LAZY_PARAMS = GenParams(600, 600, 1)
+
+
+@pytest.fixture(scope="module")
+def eager_text():
+    """``LAZY_PARAMS``'s market serialized from rankings shuffled eagerly,
+    one scalar draw at a time, from each lazy ranking's seed."""
+    m = random_market(LAZY_PARAMS)
+    prefs = tuple(
+        scalar_fisher_yates(list(range(p.n)), ScalarSplitMix64(p.seed))
+        for p in m.prefs
+    )
+    return serialize_market(dataclasses.replace(m, prefs=prefs))
+
+
+def _read_half_of_each(m):
+    for p in m.prefs:
+        p[p.n // 2]
+
+
+class TestSerializeLazyRankings:
+    @pytest.mark.parametrize(
+        "before",
+        [
+            lambda m: None,
+            # Sparse prefixes: the switch to the dense tail comes mid-ranking.
+            htts_solve,
+            # Dense tails already built and half shuffled.
+            _read_half_of_each,
+        ],
+        ids=["fresh", "solved", "half-read"],
+    )
+    def test_each_ranking_completes_in_one_dense_shuffle(
+        self, monkeypatch, eager_text, before
+    ):
+        m = random_market(LAZY_PARAMS)
+        before(m)
+        assert all(len(p._done) < p.n for p in m.prefs)
+        calls = {"_extend_to": 0, "_extend_dense": 0}
+
+        def count(name):
+            original = getattr(ShuffledRange, name)
+
+            def counted(self, k):
+                calls[name] += 1
+                return original(self, k)
+
+            monkeypatch.setattr(ShuffledRange, name, counted)
+
+        count("_extend_to")
+        count("_extend_dense")
+        text = serialize_market(m)
+        # Every ``_extend_to`` call went dense, so no sparse step ran.
+        assert calls == {
+            "_extend_to": m.agent_count,
+            "_extend_dense": m.agent_count,
+        }
+        assert all(
+            len(p._done) == p.n and p._ahead is None and p._tail is None
+            for p in m.prefs
+        )
+        assert text == eager_text
 
 
 class TestAllocationFormat:

@@ -15,6 +15,7 @@ reference.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -33,6 +34,7 @@ from conftest import (
 from houseswap import (
     GenParams,
     OpCounter,
+    Segment,
     format_segment,
     format_trace,
     htts_solve,
@@ -44,6 +46,7 @@ from reference import (
     best_house,
     build_pointing_graph,
     check_feasibility,
+    check_trace,
     rebuild_solve,
     tarjan_scc,
 )
@@ -345,6 +348,72 @@ class TestMatchesRebuild:
         for seed in range(50):
             market = random_market(GenParams(200, 200, seed))
             assert_matches_rebuild(market, tiebreak_seed)
+
+
+def _flip_first_flag(m, out):
+    first = dataclasses.replace(out.trace[0], feasible=False)
+    return dataclasses.replace(out, trace=(first, *out.trace[1:]))
+
+
+def _drop_an_owner(m, out):
+    first = out.trace[0]
+    kept = first.owners[1:]
+    first = dataclasses.replace(
+        first, owners=kept, assignment={i: first.assignment[i] for i in kept}
+    )
+    return dataclasses.replace(out, trace=(first, *out.trace[1:]))
+
+
+def _merge_segments(m, out):
+    # Every owner gets its step-1 favourite, so the merged segment is
+    # closed and correctly assigned; only strong connectivity fails.
+    everything = range(m.house_count)
+    merged = Segment(
+        step=1,
+        houses=tuple(everything),
+        owners=tuple(range(m.agent_count)),
+        assignment={
+            i: best_house(m, i, everything) for i in range(m.agent_count)
+        },
+        feasible=True,
+    )
+    return dataclasses.replace(out, trace=(merged,))
+
+
+class TestCheckTrace:
+    @given(
+        st.integers(0, 2**32),
+        st.integers(1, 60),
+        st.integers(1, 60),
+        st.none() | st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_solves_pass(self, seed, agents, houses, tiebreak_seed):
+        m = random_market(GenParams(agents, 1 + houses % agents, seed))
+        if tiebreak_seed is None:
+            out = htts_solve(m)
+        else:
+            out = solve_with_tiebreak(m, tiebreak_seed)
+        check_trace(m, out)
+
+    def test_partial_trace_passes(self):
+        m = two_step_empty_core_market()
+        check_trace(m, htts_solve(m))
+
+    @pytest.mark.parametrize(
+        "tamper, fault",
+        [
+            (_flip_first_flag, "feasible flag"),
+            (_drop_an_owner, "owners"),
+            (_merge_segments, "strongly connected"),
+        ],
+    )
+    def test_tampered_traces_fail(self, tamper, fault):
+        m = worked_market()
+        out = htts_solve(m)
+        check_trace(m, out)
+        with pytest.raises(AssertionError, match=fault):
+            check_trace(m, tamper(m, out))
 
 
 class TestOpCounter:

@@ -328,6 +328,33 @@ class TestShuffledRangeIteration:
         assert taken == [lazy[k] for k in range(consumed)]
         assert len(lazy._done) <= 2 * consumed + 1
 
+    @pytest.mark.parametrize(
+        "complete",
+        [
+            lambda lazy: lazy[599],
+            list,
+            lambda lazy: [lazy[k] for k in range(600)],
+        ],
+        ids=["last", "iteration", "in-order"],
+    )
+    def test_complete_shuffle_reads_as_its_list(self, complete):
+        eager = fisher_yates(list(range(600)), SplitMix64(11))
+        lazy = ShuffledRange(600, 11)
+        complete(lazy)
+        assert len(lazy._done) == 600
+        assert list(lazy) == eager
+        assert eager[0] in lazy and eager[599] in lazy and 600 not in lazy
+        assert lazy.index(eager[417]) == 417
+        with pytest.raises(ValueError):
+            lazy.index(600)
+        assert list(reversed(lazy)) == eager[::-1]
+        first, second = iter(lazy), iter(lazy)
+        got_first = list(islice(first, 100))
+        got_second = list(islice(second, 300))
+        got_first += list(first)
+        got_second += list(second)
+        assert got_first == got_second == eager
+
     def test_membership_of_first_element_is_constant_work(self):
         lazy = ShuffledRange(10**6, 42)
         assert ShuffledRange(10**6, 42)[0] in lazy
