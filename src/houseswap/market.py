@@ -180,9 +180,11 @@ def _ranking_error(
 def validate_market(raw: RawMarket) -> Market:
     """Check a raw description against the model and build a Market.
 
-    Rejects duplicate or unknown names, preference lists that are not
-    permutations of the declared house types, and house types nobody is
-    endowed with.  An empty market (no houses, no agents) is valid.
+    Rejects duplicate or unknown names, agent names that start with
+    ``#`` (their allocation lines would read as comments), preference
+    lists that are not permutations of the declared house types, and
+    house types nobody is endowed with.  An empty market (no houses, no
+    agents) is valid.
 
     A preference list is accepted when it maps to ``H`` house ids, all
     distinct; any other list is walked in order and rejected with its
@@ -202,6 +204,8 @@ def validate_market(raw: RawMarket) -> Market:
     endowments: list[HouseId] = []
     prefs: list[tuple[HouseId, ...]] = []
     for agent in raw.agents:
+        if agent.name.startswith("#"):
+            raise ValidationError(f"agent name {agent.name!r} starts with '#'")
         if agent.name in seen_agents:
             raise DuplicateName(f"duplicate agent name {agent.name!r}")
         seen_agents.add(agent.name)

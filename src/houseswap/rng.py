@@ -9,14 +9,15 @@ reimplements the same scheme.  The scheme is pinned:
 * shuffle: Fisher-Yates from the front, ``j = i + below(n - i)``.
 
 The k-th splitmix64 output depends only on ``state + k * gamma``, so
-``_draw_block`` computes a whole run of draws at once.
-``_shuffle_prefix`` runs Fisher-Yates over a plain list from such a run,
-and ``fisher_yates`` is that routine on a whole list.  ``SplitMix64``
+``_draw_block`` computes a whole run of draws at once.  ``_shuffle``
+runs Fisher-Yates over a plain list from such a run; ``fisher_yates``
+and the completion of a ``ShuffledRange`` both call it.  ``SplitMix64``
 serves its one-at-a-time draws from such runs too.
 
 ``ShuffledRange`` produces exactly the permutation the eager shuffle
 would, but materializes elements on demand, so a market whose preference
 lists are only ever read up to some prefix never pays for the full lists.
+It has two states: a sparse prefix, then the whole shuffle.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from itertools import islice
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
-# ``ShuffledRange`` switches to its dense tail on the first extension that
-# covers at least 1/16 of the positions still pending.  Building the tail
-# is one pass over those positions, so that pass and the tail's memory are
-# at most 16 times what the switching extension materializes, while the
-# solver's one-position reads on long lists stay on the dict, whose cost
-# is per materialized element only.
+# ``ShuffledRange`` completes its shuffle on the first extension that
+# covers at least 1/16 of the positions still pending.  Completing is one
+# pass over those positions, so that pass and its memory are at most 16
+# times what the extension asked for, while the solver's one-position
+# reads on long lists stay on the dict, whose cost is per materialized
+# element only.
 _DENSE_SHARE = 16
 
 # ``_draw_block`` finalizes at most _BLOCK lanes at a time, so each
@@ -144,13 +145,13 @@ def _draw_block(state: int, count: int) -> tuple[list[int], int]:
     return out, state
 
 
-def _shuffle_prefix(items: list, start: int, stop: int, state: int) -> int:
-    """Run the pinned Fisher-Yates over positions ``start .. stop - 1`` of
-    ``items``, drawing from the stream at ``state``; return the state
-    after those ``stop - start`` draws."""
+def _shuffle(items: list, state: int) -> int:
+    """Shuffle ``items`` in place with the pinned Fisher-Yates, one draw
+    for every position but the last, from the stream at ``state``;
+    return the state after those draws."""
     n = len(items)
-    draws, state = _draw_block(state, stop - start)
-    for i, r in zip(range(start, stop), draws):
+    draws, state = _draw_block(state, max(n - 1, 0))
+    for i, r in enumerate(draws):
         j = i + ((r * (n - i)) >> 64)
         items[i], items[j] = items[j], items[i]
     return state
@@ -159,7 +160,7 @@ def _shuffle_prefix(items: list, start: int, stop: int, state: int) -> int:
 def fisher_yates(items: list, rng: SplitMix64) -> list:
     """Shuffle ``items`` in place with the pinned draw pattern: one draw
     for every position but the last."""
-    rng.state = _shuffle_prefix(items, 0, max(len(items) - 1, 0), rng.state)
+    rng.state = _shuffle(items, rng.state)
     return items
 
 
@@ -172,37 +173,36 @@ class ShuffledRange(Sequence):
     ``1/_DENSE_SHARE`` of the pending positions runs the sparse loop, with
     the splitmix64 step fused in and the pending swaps in the dict
     ``_ahead``, so memory stays proportional to the materialized prefix.
-    The first extension that covers more moves the pending positions into
-    the list ``_tail`` (``_ahead`` becomes ``None``); it and every later
-    extension shuffle the tail with block draws.  The tail holds at most
-    ``_DENSE_SHARE`` times the positions that extension materialized, and
-    it is dropped when the shuffle completes.  Iteration yields the
-    materialized prefix and, on running out at position ``k``, extends it
-    to ``2k``: a caller that stops after ``p`` elements (``in``,
-    ``index``, ``next(...)`` over a filter) has materialized at most
-    ``2p + 1``.  A caller that reads every element should read position
-    ``n - 1`` first: that completes the shuffle in one dense extension,
-    where iteration's doubling would first run the sparse loop over about
-    ``n / _DENSE_SHARE`` positions.  Two instances compare equal iff they
-    have the same ``(n, seed)``, which implies the same full sequence.
+    The first extension that covers at least that share completes the
+    shuffle: the pending positions go into one list, shuffled with block
+    draws and appended to ``_done`` (``_ahead`` becomes ``None``).
+    Iteration yields the materialized prefix and, on running out at
+    position ``k``, extends it to ``2k``: a caller that stops after ``p``
+    elements (``in``, ``index``, ``next(...)`` over a filter) has
+    materialized at most ``2p + 1``, or all ``n`` once that extension
+    reaches ``1/_DENSE_SHARE`` of the pending positions.  A caller that
+    reads every element should read position ``n - 1`` first: that
+    completes the shuffle at once, where iteration's doubling would first
+    run the sparse loop over about ``n / _DENSE_SHARE`` positions.  Two
+    instances compare equal iff they have the same ``(n, seed)``, which
+    implies the same full sequence.
     """
 
-    __slots__ = ("n", "seed", "_state", "_done", "_ahead", "_tail")
+    __slots__ = ("n", "seed", "_state", "_done", "_ahead")
 
     def __init__(self, n: int, seed: int) -> None:
         self.n = n
         self.seed = self._state = seed & _MASK64
         self._done: list[int] = []
         self._ahead: dict[int, int] | None = {}
-        self._tail: list[int] | None = None
 
     def _extend_to(self, k: int) -> None:
         done = self._done
         ahead = self._ahead
         n = self.n
         i = len(done)
-        if ahead is None or (k + 1 - i) * _DENSE_SHARE >= n - i:
-            self._extend_dense(k)
+        if (k + 1 - i) * _DENSE_SHARE >= n - i:
+            self._extend_dense()
             return
         # ``SplitMix64.next_u64`` and ``below`` inlined: the stream state
         # stays in a local and is stored back once, after the loop.  These
@@ -225,21 +225,16 @@ class ShuffledRange(Sequence):
             i += 1
         self._state = state
 
-    def _extend_dense(self, k: int) -> None:
+    def _extend_dense(self) -> None:
+        """Complete the shuffle in one block-drawn pass."""
         done = self._done
-        n = self.n
         i = len(done)
-        tail = self._tail
-        if tail is None:
-            tail = self._tail = list(range(i, n))
-            for j, val in self._ahead.items():
-                tail[j - i] = val
-            self._ahead = None
-        base = n - len(tail)  # the position of tail[0]
-        self._state = _shuffle_prefix(tail, i - base, k + 1 - base, self._state)
-        done.extend(tail[i - base : k + 1 - base])
-        if k + 1 == n:
-            self._tail = None
+        rest = list(range(i, self.n))
+        for j, val in self._ahead.items():
+            rest[j - i] = val
+        self._ahead = None
+        _shuffle(rest, self._state)
+        done += rest  # in place: live iterators walk this list
 
     def __iter__(self) -> Iterator[int]:
         # ``it`` walks ``done`` by position.  It is never run to the end

@@ -22,14 +22,20 @@ pass/fail lines (without ``-s`` pytest shows them only on failure).
    core in exactly 557 steps; the allocation equals classic
    top-trading-cycles and the solve under tie-break seed 1, and the
    three calls take under C7_BOUND_S seconds together.  Outside that
-   time, a linear replay checks every segment of both solves.
+   time, a linear replay checks every segment of both solves.  The
+   planted half: a duplicate-type market with 10,000 agents, 5,000 house
+   types and a planted core of 500 segments (``perfbench/planted.py``)
+   finds that core in exactly 500 steps, under tie-break seed 1 too, and
+   the two solves take under C7_PLANTED_BOUND_S seconds together.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +62,10 @@ from reference import (
 # on a 2-core VM (CPython 3.11); the bound is over 3x the slowest, for
 # drift.
 C7_BOUND_S = 10
+
+# The planted half's two solves took 1.14-1.67 s over seven fresh
+# processes on the same VM; the bound is over 3x the slowest.
+C7_PLANTED_BOUND_S = 6
 
 # Operation totals stay below OPS_BOUND_C * (H**2 + H*I) on every tested
 # instance; pinned from a measured worst case of 2.5 on tiny markets.
@@ -178,6 +188,31 @@ def test_criterion_7_multistep_at_scale():
         assert out.allocation.assignment == ttc.assignment
         assert tiebroken.allocation == out.allocation
         assert elapsed < C7_BOUND_S
+        check_trace(m, out)
+        check_trace(m, tiebroken)
+
+
+def _planted_market(*args):
+    """``perfbench/planted.py``'s ``planted_market``, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "planted.py"
+    spec = importlib.util.spec_from_file_location("planted", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.planted_market(*args)
+
+
+def test_criterion_7_planted_at_scale():
+    with criterion("7 planted multi-step solve at scale"):
+        m, planted = _planted_market(10_000, 5_000, 500, 8)
+        start = time.perf_counter()
+        out = htts_solve(m)
+        tiebroken = solve_with_tiebreak(m, 1)
+        elapsed = time.perf_counter() - start
+        assert out.core_found
+        assert len(out.trace) == 500
+        assert out.allocation.assignment == planted
+        assert tiebroken.allocation == out.allocation
+        assert elapsed < C7_PLANTED_BOUND_S
         check_trace(m, out)
         check_trace(m, tiebroken)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES
-from houseswap import OpCounter, htts_solve, load_market
+from houseswap import OpCounter, htts_solve, load_market, parse_allocation_text
 from houseswap.cli import main
 
 WORKED = str(FIXTURES / "worked.market")
@@ -80,6 +80,25 @@ class TestSolve:
     def test_tiebreak_seed(self, capsys):
         assert main(["solve", WORKED, "--tiebreak-seed", "5"]) == 0
         assert capsys.readouterr().out == WORKED_ALLOCATION
+
+    def test_output_parses_back_as_the_allocation(self, capsys):
+        assert main(["solve", WORKED]) == 0
+        market = load_market(Path(WORKED).read_text())
+        allocation = parse_allocation_text(capsys.readouterr().out, market)
+        assert allocation == htts_solve(market).allocation
+
+    def test_agent_name_starting_with_hash_rejected(self, tmp_path, capsys):
+        # Its output line "#a -> h1" would read back as a comment.  A
+        # house name never begins a line, so "#h1" is a valid name.
+        market = tmp_path / "hash.market"
+        market.write_text("houses: #h1\nagent #a endow #h1 prefs #h1\n")
+        assert main(["solve", str(market)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: agent name '#a' starts with '#'\n"
+        market.write_text("houses: #h1\nagent a endow #h1 prefs #h1\n")
+        assert main(["solve", str(market)]) == 0
+        assert capsys.readouterr().out == "a -> #h1\n"
 
     def test_missing_file(self, capsys):
         assert main(["solve", "no_such_file.market"]) == 1

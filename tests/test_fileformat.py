@@ -191,30 +191,30 @@ def _read_half_of_each(m):
 
 class TestSerializeLazyRankings:
     @pytest.mark.parametrize(
-        "before",
+        "before, extensions",
         [
-            lambda m: None,
-            # Sparse prefixes: the switch to the dense tail comes mid-ranking.
-            htts_solve,
-            # Dense tails already built and half shuffled.
-            _read_half_of_each,
+            (lambda m: None, 1),
+            # Sparse prefixes: the read of the last position completes them.
+            (htts_solve, 1),
+            # Reading half of a ranking already completes its shuffle.
+            (_read_half_of_each, 0),
         ],
         ids=["fresh", "solved", "half-read"],
     )
     def test_each_ranking_completes_in_one_dense_shuffle(
-        self, monkeypatch, eager_text, before
+        self, monkeypatch, eager_text, before, extensions
     ):
         m = random_market(LAZY_PARAMS)
         before(m)
-        assert all(len(p._done) < p.n for p in m.prefs)
+        assert all((len(p._done) < p.n) == bool(extensions) for p in m.prefs)
         calls = {"_extend_to": 0, "_extend_dense": 0}
 
         def count(name):
             original = getattr(ShuffledRange, name)
 
-            def counted(self, k):
+            def counted(self, *args):
                 calls[name] += 1
-                return original(self, k)
+                return original(self, *args)
 
             monkeypatch.setattr(ShuffledRange, name, counted)
 
@@ -223,13 +223,10 @@ class TestSerializeLazyRankings:
         text = serialize_market(m)
         # Every ``_extend_to`` call went dense, so no sparse step ran.
         assert calls == {
-            "_extend_to": m.agent_count,
-            "_extend_dense": m.agent_count,
+            "_extend_to": extensions * m.agent_count,
+            "_extend_dense": extensions * m.agent_count,
         }
-        assert all(
-            len(p._done) == p.n and p._ahead is None and p._tail is None
-            for p in m.prefs
-        )
+        assert all(len(p._done) == p.n and p._ahead is None for p in m.prefs)
         assert text == eager_text
 
 

@@ -249,8 +249,8 @@ class TestShuffledRange:
     )
     @settings(max_examples=60, deadline=None)
     def test_mixed_reads_match_scalar_reference(self, seed, n, ops):
-        # Short reads run the sparse loop and long ones the dense tail;
-        # the closing full read always ends on the dense tail.
+        # Short reads run the sparse loop; the first long one, or else
+        # the closing full read, completes the shuffle.
         eager = scalar_fisher_yates(list(range(n)), SplitMix64(seed))
         lazy = ShuffledRange(n, seed)
         for op, share in ops:
@@ -262,8 +262,8 @@ class TestShuffledRange:
         assert list(lazy) == eager
 
     def test_complete_shuffle_keeps_about_a_list(self):
-        # The pending-swap dict and the dense tail are dropped once every
-        # position is out, so a read list costs about an eager one.
+        # The pending-swap dict is dropped when the shuffle completes, so
+        # a read list costs about an eager one.
         def retained(build):
             gc.collect()
             tracemalloc.start()
@@ -354,6 +354,27 @@ class TestShuffledRangeIteration:
         got_first += list(first)
         got_second += list(second)
         assert got_first == got_second == eager
+
+    def test_in_order_reads_complete_in_one_dense_extension(
+        self, monkeypatch
+    ):
+        # A reader that indexes every position in turn runs the sparse
+        # loop until _DENSE_SHARE positions are pending; the next read
+        # completes the shuffle, and no later read extends it.
+        calls = 0
+        original = ShuffledRange._extend_dense
+
+        def counted(self, *args):
+            nonlocal calls
+            calls += 1
+            original(self, *args)
+
+        monkeypatch.setattr(ShuffledRange, "_extend_dense", counted)
+        lazy = ShuffledRange(600, 3)
+        got = [lazy[k] for k in range(600)]
+        assert calls == 1
+        eager = scalar_fisher_yates(list(range(600)), ScalarSplitMix64(3))
+        assert got == eager
 
     def test_membership_of_first_element_is_constant_work(self):
         lazy = ShuffledRange(10**6, 42)
