@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes are uniform across subcommands: 0 for a found allocation or a
-verified core member, 2 for an empty core or a blocked allocation, 1 for
-bad input (usage errors, unreadable files, parse or validation errors,
-cap overruns).  Every error is one ``error: <message>`` line on stderr.
+Exit codes: 0 for a found allocation or a verified core member, 2 for
+an empty core or a blocked allocation, 1 for bad input (usage errors,
+unreadable files, parse or validation errors, cap overruns, out of
+memory).  Every error is one ``error: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -47,15 +47,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         outcome = solve_with_tiebreak(market, args.tiebreak_seed, counter=counter)
     if outcome.core_found:
-        out = sys.stdout
-        out.write(serialize_allocation(market, outcome.allocation))
+        sys.stdout.write(serialize_allocation(market, outcome.allocation))
     else:
-        out = sys.stderr
-        print(f"EMPTY CORE at step {outcome.failed_step}", file=out)
+        print(f"EMPTY CORE at step {outcome.failed_step}", file=sys.stderr)
     if args.trace and outcome.trace:
-        print(format_trace(market, outcome.trace), file=out)
+        print(format_trace(market, outcome.trace), file=sys.stderr)
     if args.stats:
-        print(_stats_line(counter), file=out)
+        print(_stats_line(counter), file=sys.stderr)
     return 0 if outcome.core_found else 2
 
 
@@ -106,8 +104,6 @@ def _fit_slope(points: list[tuple[int, int]]) -> float | None:
     mx = sum(xs) / len(xs)
     my = sum(ys) / len(ys)
     denom = sum((x - mx) ** 2 for x in xs)
-    if denom == 0:
-        return None
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom
 
 
@@ -227,6 +223,9 @@ def main(argv: list[str] | None = None) -> int:
         ParseError, ValidationError, InvalidParams, CapExceeded, OSError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -180,11 +180,12 @@ def _ranking_error(
 def validate_market(raw: RawMarket) -> Market:
     """Check a raw description against the model and build a Market.
 
-    Rejects duplicate or unknown names, agent names that start with
-    ``#`` (their allocation lines would read as comments), preference
-    lists that are not permutations of the declared house types, and
-    house types nobody is endowed with.  An empty market (no houses, no
-    agents) is valid.
+    Rejects names that are not single whitespace-free tokens (the text
+    formats could not carry them), duplicate or unknown names, agent
+    names that start with ``#`` (their allocation lines would read as
+    comments), preference lists that are not permutations of the
+    declared house types, and house types nobody is endowed with.  An
+    empty market (no houses, no agents) is valid.
 
     A preference list is accepted when it maps to ``H`` house ids, all
     distinct; any other list is walked in order and rejected with its
@@ -193,6 +194,8 @@ def validate_market(raw: RawMarket) -> Market:
     """
     house_index: dict[str, HouseId] = {}
     for name in raw.houses:
+        if name.split() != [name]:
+            raise ValidationError(f"house name {name!r} is not a single token")
         if name in house_index:
             raise DuplicateName(f"duplicate house name {name!r}")
         house_index[name] = len(house_index)
@@ -204,6 +207,10 @@ def validate_market(raw: RawMarket) -> Market:
     endowments: list[HouseId] = []
     prefs: list[tuple[HouseId, ...]] = []
     for agent in raw.agents:
+        if agent.name.split() != [agent.name]:
+            raise ValidationError(
+                f"agent name {agent.name!r} is not a single token"
+            )
         if agent.name.startswith("#"):
             raise ValidationError(f"agent name {agent.name!r} starts with '#'")
         if agent.name in seen_agents:

@@ -20,6 +20,14 @@ checks each segment in time linear in the market's size plus the rank
 positions read, so it can run on every segment of solves far too large
 for the from-scratch helpers above.
 
+``segmentation_core`` is a second, polynomial strict-core solver that
+shares no code with ``houseswap.htts`` or ``houseswap.digraph``: it
+works on agents instead of house types, finds each step's sink component
+with its own iterative Tarjan, and tests feasibility as a perfect
+matching with Kuhn's augmenting paths instead of counting.  It is checked
+against brute-force enumeration on small markets, and the solver against
+it on markets far above the enumeration cap.
+
 ``scalar_fisher_yates`` is the pinned shuffle one ``next_u64`` at a
 time, as ``houseswap.rng`` ran it before it drew in blocks; the block
 draws and both shuffles in ``rng`` are checked against it.
@@ -436,6 +444,101 @@ def _strongly_connected(arcs: dict[int, set[int]]) -> bool:
         if len(seen) != len(arcs):
             return False
     return True
+
+
+def segmentation_core(market: Market) -> tuple[HouseId, ...] | None:
+    """The strict-core allocation (agent ``i``'s house type at index
+    ``i``), or None when the strict core is empty.
+
+    Each step, every remaining agent points at every owner of a copy of
+    its favourite remaining type.  The first component Tarjan emits from
+    the smallest remaining agent is a sink: it holds every owner of every
+    type its members want or own.  The step trades it when its agents
+    can be matched one to one with their favourite types' copies, and
+    otherwise the core is empty.
+    """
+    prefs = market.prefs
+    endowments = market.endowments
+    owners: dict[HouseId, list[AgentId]] = {}
+    for i, h in enumerate(endowments):
+        owners.setdefault(h, []).append(i)
+    traded_types: set[HouseId] = set()
+    cursors = [0] * market.agent_count
+    allocation: list[HouseId | None] = [None] * market.agent_count
+
+    def favourite(i: AgentId) -> HouseId:
+        ranking = prefs[i]
+        c = cursors[i]
+        while ranking[c] in traded_types:
+            c += 1
+        cursors[i] = c
+        return ranking[c]
+
+    root = 0
+    while root < market.agent_count:
+        if allocation[root] is not None:
+            root += 1
+            continue
+        segment = _first_sink_component(
+            root, lambda i: owners[favourite(i)]
+        )
+        wants = {i: favourite(i) for i in segment}
+        if not _perfect_matching(wants, owners):
+            return None
+        for i, h in wants.items():
+            allocation[i] = h
+            traded_types.add(endowments[i])
+    return tuple(allocation)
+
+
+def _first_sink_component(
+    root: int, successors: Callable[[int], Sequence[int]]
+) -> list[int]:
+    """The first strongly connected component an iterative Tarjan emits
+    when it searches from ``root``: a sink of the reachable graph."""
+    index = {root: 0}
+    low = {root: 0}
+    stack = [root]
+    on_stack = {root}
+    path = [(root, iter(successors(root)))]
+    while path:
+        v, arcs = path[-1]
+        for w in arcs:
+            if w not in index:
+                index[w] = low[w] = len(index)
+                stack.append(w)
+                on_stack.add(w)
+                path.append((w, iter(successors(w))))
+                break
+            if w in on_stack:
+                low[v] = min(low[v], index[w])
+        else:
+            path.pop()
+            if low[v] == index[v]:
+                return stack[stack.index(v):]
+            u = path[-1][0]
+            low[u] = min(low[u], low[v])
+    raise AssertionError("a search emits at least one component")
+
+
+def _perfect_matching(
+    wants: dict[AgentId, HouseId], owners: dict[HouseId, list[AgentId]]
+) -> bool:
+    """Whether every agent in ``wants`` can get its own copy of the type
+    it wants, each copy named by the agent endowed with it, by Kuhn's
+    augmenting paths.  ``wants`` must hold every owner of those types."""
+    holder: dict[AgentId, AgentId] = {}  # copy -> agent it is matched to
+
+    def augment(i: AgentId, seen: set[AgentId]) -> bool:
+        for copy in owners[wants[i]]:
+            if copy not in seen:
+                seen.add(copy)
+                if copy not in holder or augment(holder[copy], seen):
+                    holder[copy] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in wants)
 
 
 _MASK64 = (1 << 64) - 1

@@ -7,6 +7,14 @@ pass/fail lines (without ``-s`` pytest shows them only on failure).
    with the expected two-segment trace, in under a millisecond.
 2. Solver verdict and allocation match brute-force core enumeration on
    504 markets covering every shape with up to 6 agents, in under 60 s.
+2b. Solver verdict and allocation, under every tie-break seed of
+   criterion 5, match ``segmentation_core``, a polynomial agent-level
+   reference that shares no code with the solver, on 200 random
+   duplicate markets with 9..407 agents, 40 planted markets with
+   9..399 agents and a planted market with 2,000 agents and 100
+   segments, in under C2B_BOUND_S seconds; the reference returns the
+   planted allocation.  The reference itself matches brute-force
+   enumeration on criterion 2's markets.
 3. Solver output equals classic top-trading-cycles on 504 injective
    markets with 2..8 agents, in under 30 s.
 4. Total operation count scales with a fitted log-log slope of at most
@@ -55,8 +63,13 @@ from reference import (
     check_feasibility,
     check_trace,
     condensation,
+    segmentation_core,
     tarjan_scc,
 )
+
+# Criterion 2b's timed loop took 3.09-3.54 s over seven fresh processes
+# on a 2-core VM (CPython 3.11); the bound is over 3x the slowest.
+C2B_BOUND_S = 12
 
 # Criterion 7's three calls took 2.28-2.69 s over seven fresh processes
 # on a 2-core VM (CPython 3.11); the bound is over 3x the slowest, for
@@ -139,6 +152,44 @@ def test_criterion_2_oracle_equivalence(duplicate_type_markets):
             if core:
                 assert out.allocation.assignment == core[0].assignment
         assert time.perf_counter() - start < 60
+
+
+def test_segmentation_core_matches_enumeration(duplicate_type_markets):
+    # Criterion 2b trusts this reference above the enumeration cap.
+    for m in duplicate_type_markets:
+        core = enumerate_strict_core(m)
+        assert segmentation_core(m) == (core[0].assignment if core else None)
+
+
+def test_criterion_2b_reference_oracle():
+    with criterion("2b polynomial reference"):
+        markets = []
+        for seed in range(200):
+            agents = 9 + 2 * seed
+            houses = agents // (1 + seed % 4)
+            markets.append((random_market(GenParams(agents, houses, seed)), None))
+        for k in range(40):
+            agents = 9 + 10 * k
+            houses = agents // (1 + k % 3)
+            markets.append(_planted_market(agents, houses, 1 + 7 * k % houses, k))
+        markets.append(_planted_market(2000, 1000, 100, 2))
+        start = time.perf_counter()
+        found = 0
+        for m, planted in markets:
+            reference = segmentation_core(m)
+            if planted is not None:
+                assert reference == planted
+            out = htts_solve(m)
+            assert out.core_found == (reference is not None)
+            if reference is None:
+                continue
+            found += 1
+            assert out.allocation.assignment == reference
+            for tiebreak in range(8):
+                out = solve_with_tiebreak(m, tiebreak)
+                assert out.allocation.assignment == reference
+        assert time.perf_counter() - start < C2B_BOUND_S
+        assert found == 50 + 41  # random markets with a core, every planted one
 
 
 def test_criterion_3_ttc_special_case(injective_markets):

@@ -15,7 +15,14 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES
-from houseswap import OpCounter, htts_solve, load_market, parse_allocation_text
+from houseswap import (
+    OpCounter,
+    format_segment,
+    htts_solve,
+    load_market,
+    parse_allocation_text,
+    solve_with_tiebreak,
+)
 from houseswap.cli import main
 
 WORKED = str(FIXTURES / "worked.market")
@@ -48,7 +55,9 @@ class TestSolve:
 
     def test_trace_flag(self, capsys):
         assert main(["solve", WORKED, "--trace"]) == 0
-        assert capsys.readouterr().out == WORKED_ALLOCATION + WORKED_TRACE
+        out = capsys.readouterr()
+        assert out.out == WORKED_ALLOCATION
+        assert out.err == WORKED_TRACE
 
     def test_trace_goes_to_stderr_on_empty_core(self, capsys):
         assert main(["solve", EMPTY_CORE, "--trace"]) == 2
@@ -69,13 +78,57 @@ class TestSolve:
 
     def test_stats_flag(self, capsys):
         assert main(["solve", WORKED, "--stats"]) == 0
-        stats_line = capsys.readouterr().out.splitlines()[-1]
+        out = capsys.readouterr()
+        assert out.out == WORKED_ALLOCATION
+        stats_line = out.err.splitlines()[-1]
         counter = OpCounter()
         htts_solve(load_market(Path(WORKED).read_text()), counter=counter)
         assert stats_line == (
             f"arcs={counter.arcs_built} scc={counter.scc_work} "
             f"feas={counter.feasibility_comparisons}"
         )
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--trace"],
+            ["--stats"],
+            ["--trace", "--stats"],
+            ["--trace", "--stats", "--tiebreak-seed", "5"],
+        ],
+    )
+    @pytest.mark.parametrize("fixture", ["worked", "empty_core", "houses_only"])
+    def test_flags_write_only_to_stderr(self, fixture, flags, tmp_path, capsys):
+        # Whatever the verdict, stdout is what a plain solve prints, so
+        # `solve --trace > file` still writes an allocation file.
+        if fixture == "houses_only":
+            path = tmp_path / "houses_only.market"
+            path.write_text("houses:\n")
+        else:
+            path = FIXTURES / f"{fixture}.market"
+        code = main(["solve", str(path)])
+        plain = capsys.readouterr()
+        assert main(["solve", str(path), *flags]) == code
+        out = capsys.readouterr()
+        assert out.out == plain.out
+
+        market = load_market(path.read_text())
+        counter = OpCounter()
+        if "--tiebreak-seed" in flags:
+            outcome = solve_with_tiebreak(market, 5, counter=counter)
+        else:
+            outcome = htts_solve(market, counter=counter)
+        expected = [] if outcome.core_found else [
+            f"EMPTY CORE at step {outcome.failed_step}"
+        ]
+        if "--trace" in flags:
+            expected += [format_segment(market, seg) for seg in outcome.trace]
+        if "--stats" in flags:
+            expected.append(
+                f"arcs={counter.arcs_built} scc={counter.scc_work} "
+                f"feas={counter.feasibility_comparisons}"
+            )
+        assert out.err == "".join(line + "\n" for line in expected)
 
     def test_tiebreak_seed(self, capsys):
         assert main(["solve", WORKED, "--tiebreak-seed", "5"]) == 0
@@ -253,6 +306,16 @@ class TestGen:
         assert out.err.startswith("error: agent_count")
         assert out.err.count("\n") == 1
 
+    def test_size_too_large_to_allocate(self, capsys):
+        # Below sys.maxsize, so GenParams accepts it; the list's byte size
+        # overflows, and CPython raises MemoryError before allocating.
+        assert main([
+            "gen", "--agents", "5000000000000000000", "--houses", "1",
+        ]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: out of memory\n"
+
     def test_seed_from_two_to_the_64(self, capsys):
         # splitmix64 would reduce the seed mod 2**64 and silently repeat
         # seed 0's market.
@@ -418,6 +481,11 @@ class TestUsageErrors:
                 ["solve", WORKED, "--tiebreak-seed", str(2**64)],
                 "error: argument --tiebreak-seed: must be an integer "
                 f"in [0, 2**64), got '{2**64}'\n",
+            ),
+            (
+                ["solve", WORKED, "--tiebreak-seed", "abc"],
+                "error: argument --tiebreak-seed: must be an integer "
+                "in [0, 2**64), got 'abc'\n",
             ),
         ],
     )

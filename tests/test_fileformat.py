@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, worked_market
+from conftest import FIXTURES, market_from, worked_market
 from houseswap import (
     Allocation,
     GenParams,
@@ -127,6 +127,22 @@ class TestSerializeMarket:
         again = load_market(serialize_market(m))
         assert again.endowments == m.endowments
         assert again.prefs == m.prefs
+
+    def test_odd_single_token_names_survive_both_formats(self):
+        # Keywords, the arrow, a leading '#' on a house and non-ASCII
+        # are all single tokens; an agent name may not start with '#'.
+        houses = ["#h", "->", "prefs", "endow", "houses:", "agent", "é"]
+        agents = ["h#", "->", "prefs", "endow", "houses:", "agent", "é"]
+        n = len(houses)
+        # Agent k owns house k and ranks house k + 1 first: one cycle.
+        m = market_from(houses, [
+            (agents[k], houses[k], [houses[(k + 1 + j) % n] for j in range(n)])
+            for k in range(n)
+        ])
+        assert load_market(serialize_market(m)) == m
+        mu = htts_solve(m).allocation
+        assert mu.assignment == tuple((k + 1) % n for k in range(n))
+        assert parse_allocation_text(serialize_allocation(m, mu), m) == mu
 
     @given(st.integers(0, 2**32), st.integers(1, 9))
     @settings(max_examples=40)

@@ -188,6 +188,38 @@ class TestValidationMessages:
                 IncompletePreferences,
                 "agent 'b' ranks 1 of 2 house types",
             ),
+            # Names the text formats split at whitespace could not carry
+            # back; each is rejected where it is first read.
+            *[
+                (
+                    [name],
+                    [("a", name, [name])],
+                    ValidationError,
+                    f"house name {name!r} is not a single token",
+                )
+                for name in ["", "a b", "a\tb"]
+            ],
+            *[
+                (
+                    ["h1"],
+                    [(name, "h1", ["h1"])],
+                    ValidationError,
+                    f"agent name {name!r} is not a single token",
+                )
+                for name in ["", "a b", "a\tb"]
+            ],
+            (
+                ["a b", "c"],
+                [("x y", "a b", ["a b", "c"]), ("", "c", ["c", "a b"])],
+                ValidationError,
+                "house name 'a b' is not a single token",
+            ),
+            (
+                ["ab", "c"],
+                [("x y", "ab", ["ab", "c"]), ("", "c", ["c", "ab"])],
+                ValidationError,
+                "agent name 'x y' is not a single token",
+            ),
         ],
     )
     def test_exact_message(self, houses, agents, error, message):
