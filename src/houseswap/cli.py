@@ -118,13 +118,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise InvalidParams(f"invalid ratio {args.ratio}")
     if args.repeats < 1:
         raise InvalidParams(f"invalid repeats {args.repeats}")
-    # Check every size's parameters before the table starts.
+    # Check every size's parameters before any market is built.
     size_params = [
         GenParams(max(houses, round(args.ratio * houses)), houses, args.seed)
         for houses in sizes
     ]
 
-    print("H I wall_ns arcs scc feas")
+    # The table is printed whole, so a failed size leaves stdout empty.
+    rows = ["H I wall_ns arcs scc feas"]
     totals: dict[int, int] = {}
     for params in size_params:
         houses, agents = params.house_count, params.agent_count
@@ -134,7 +135,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             start = time.perf_counter_ns()
             htts_solve(market, counter=counter)
             wall = time.perf_counter_ns() - start
-            print(
+            rows.append(
                 f"{houses} {agents} {wall} {counter.arcs_built} "
                 f"{counter.scc_work} {counter.feasibility_comparisons}"
             )
@@ -142,7 +143,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             totals[houses] = counter.total()
 
     slope = _fit_slope(sorted(totals.items()))
-    print("slope=n/a" if slope is None else f"slope={slope:.3f}")
+    rows.append("slope=n/a" if slope is None else f"slope={slope:.3f}")
+    print("\n".join(rows))
     return 0
 
 

@@ -10,6 +10,10 @@ Lines end at ``\n``; the ``\r`` of a CRLF ending is blank.  Lines whose
 first non-blank character is ``#`` are comments; blank lines are ignored.
 Names are unique whitespace-free tokens.
 
+``load_market`` reads a market file in one pass, building each agent's
+house ids from its line before the next line is read; its errors are
+exactly those of ``parse_market_text`` followed by ``validate_market``.
+
 Allocation file: one line per agent, in agent declaration order::
 
     alice -> h2
@@ -17,7 +21,15 @@ Allocation file: one line per agent, in agent declaration order::
 
 from __future__ import annotations
 
-from .market import Allocation, Market, RawAgent, RawMarket, validate_market
+from .market import (
+    Allocation,
+    Market,
+    RawAgent,
+    RawMarket,
+    ValidationError,
+    _build_market,
+    validate_market,
+)
 
 
 class ParseError(ValueError):
@@ -56,18 +68,21 @@ def _significant_lines(text: str):
             yield lineno, tokens
 
 
-def parse_market_text(text: str) -> RawMarket:
-    """Parse market syntax; names are not resolved or validated here."""
-    lines = _significant_lines(text)
+def _house_names(text: str, lines) -> list[str]:
+    """The names on the ``houses:`` line, the first significant one."""
     try:
         lineno, tokens = next(lines)
     except StopIteration:
         raise ParseError(_last_line(text), "missing 'houses:' line") from None
     if tokens[0] != "houses:":
         raise ParseError(lineno, "first line must start with 'houses:'")
-    houses = tuple(tokens[1:])
+    del tokens[0]
+    return tokens
 
-    agents = []
+
+def _agent_rows(lines):
+    """``(name, endowment, prefs)`` of each agent line in turn; a
+    malformed line raises when it is reached."""
     for lineno, tokens in lines:
         if (
             len(tokens) < 5
@@ -79,13 +94,39 @@ def parse_market_text(text: str) -> RawMarket:
                 lineno,
                 "expected 'agent <name> endow <house> prefs <house> ...'",
             )
-        agents.append(RawAgent(tokens[1], tokens[3], tuple(tokens[5:])))
-    return RawMarket(houses, tuple(agents))
+        name, endowment = tokens[1], tokens[3]
+        del tokens[:5]
+        yield name, endowment, tokens
+
+
+def parse_market_text(text: str) -> RawMarket:
+    """Parse market syntax; names are not resolved or validated here."""
+    lines = _significant_lines(text)
+    houses = tuple(_house_names(text, lines))
+    agents = tuple(
+        RawAgent(name, endowment, tuple(prefs))
+        for name, endowment, prefs in _agent_rows(lines)
+    )
+    return RawMarket(houses, agents)
 
 
 def load_market(text: str) -> Market:
-    """Parse and validate a market file."""
-    return validate_market(parse_market_text(text))
+    """Parse and validate a market file in one pass over its lines.
+
+    Each agent line is split, checked and turned into house ids before
+    the next is read, so its name tokens do not outlive it.  Errors are
+    exactly those of ``validate_market(parse_market_text(text))``.
+    """
+    lines = _significant_lines(text)
+    houses = _house_names(text, lines)
+    try:
+        # A syntax error raised here is the file's first, as
+        # ``parse_market_text`` raises it: rows are read lazily, and
+        # every row before it was valid.
+        return _build_market(houses, _agent_rows(lines))
+    except ValidationError:
+        # A syntax error on a later line takes precedence.
+        return validate_market(parse_market_text(text))
 
 
 def serialize_market(market: Market) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 HouseId = int
 AgentId = int
@@ -155,25 +155,22 @@ class Allocation:
 
 
 def _ranking_error(
-    agent: RawAgent, house_index: dict[str, HouseId]
+    name: str, prefs: Sequence[str], house_index: dict[str, HouseId]
 ) -> ValidationError:
-    """The first fault of ``agent``'s preference list, walking it in
+    """The first fault of agent ``name``'s preference list, walking it in
     order: an unknown or repeated name at its position, else an
     incomplete list."""
     seen: set[str] = set()
-    for house in agent.prefs:
+    for house in prefs:
         if house not in house_index:
-            return UnknownName(
-                f"agent {agent.name!r} ranks unknown house {house!r}"
-            )
+            return UnknownName(f"agent {name!r} ranks unknown house {house!r}")
         if house in seen:
             return DuplicateInPreferences(
-                f"agent {agent.name!r} ranks house {house!r} twice"
+                f"agent {name!r} ranks house {house!r} twice"
             )
         seen.add(house)
     return IncompletePreferences(
-        f"agent {agent.name!r} ranks {len(seen)} of "
-        f"{len(house_index)} house types"
+        f"agent {name!r} ranks {len(seen)} of {len(house_index)} house types"
     )
 
 
@@ -192,8 +189,21 @@ def validate_market(raw: RawMarket) -> Market:
     first fault (unknown or repeated name at its position, else
     incomplete), so the error does not depend on how the check is made.
     """
+    return _build_market(
+        raw.houses,
+        ((agent.name, agent.endowment, agent.prefs) for agent in raw.agents),
+    )
+
+
+def _build_market(
+    houses: Sequence[str], rows: Iterable[tuple[str, str, Sequence[str]]]
+) -> Market:
+    """``validate_market`` on the house names and the agents' ``(name,
+    endowment, prefs)`` rows, raising its errors.  ``rows`` is read
+    lazily, one row at a time, and not past the first faulty row; no row
+    is kept once its house ids are built."""
     house_index: dict[str, HouseId] = {}
-    for name in raw.houses:
+    for name in houses:
         if name.split() != [name]:
             raise ValidationError(f"house name {name!r} is not a single token")
         if name in house_index:
@@ -206,29 +216,26 @@ def validate_market(raw: RawMarket) -> Market:
     seen_agents: set[str] = set()
     endowments: list[HouseId] = []
     prefs: list[tuple[HouseId, ...]] = []
-    for agent in raw.agents:
-        if agent.name.split() != [agent.name]:
-            raise ValidationError(
-                f"agent name {agent.name!r} is not a single token"
-            )
-        if agent.name.startswith("#"):
-            raise ValidationError(f"agent name {agent.name!r} starts with '#'")
-        if agent.name in seen_agents:
-            raise DuplicateName(f"duplicate agent name {agent.name!r}")
-        seen_agents.add(agent.name)
-        if agent.endowment not in house_index:
+    for name, endowment, ranked in rows:
+        if name.split() != [name]:
+            raise ValidationError(f"agent name {name!r} is not a single token")
+        if name.startswith("#"):
+            raise ValidationError(f"agent name {name!r} starts with '#'")
+        if name in seen_agents:
+            raise DuplicateName(f"duplicate agent name {name!r}")
+        seen_agents.add(name)
+        if endowment not in house_index:
             raise UnknownName(
-                f"agent {agent.name!r} endowed with unknown house "
-                f"{agent.endowment!r}"
+                f"agent {name!r} endowed with unknown house {endowment!r}"
             )
         try:
-            ranking = tuple(map(lookup, agent.prefs))
+            ranking = tuple(map(lookup, ranked))
         except KeyError:
-            raise _ranking_error(agent, house_index) from None
+            raise _ranking_error(name, ranked, house_index) from None
         if len(ranking) != house_count or len(set(ranking)) != house_count:
-            raise _ranking_error(agent, house_index)
-        agent_names.append(agent.name)
-        endowments.append(house_index[agent.endowment])
+            raise _ranking_error(name, ranked, house_index)
+        agent_names.append(name)
+        endowments.append(house_index[endowment])
         prefs.append(ranking)
 
     endowed = set(endowments)
@@ -237,7 +244,7 @@ def validate_market(raw: RawMarket) -> Market:
             raise UnendowedHouseType(f"house type {name!r} has no owner")
 
     return Market(
-        house_names=tuple(raw.houses),
+        house_names=tuple(houses),
         agent_names=tuple(agent_names),
         endowments=tuple(endowments),
         prefs=tuple(prefs),

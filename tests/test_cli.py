@@ -423,6 +423,22 @@ class TestBench:
         assert out.err.startswith("error: seed")
         assert out.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "sizes, ratio",
+        [
+            # The first size's market cannot be allocated.
+            ("5", "1e18"),
+            # Size 1 is built and solved; the second size cannot be
+            # allocated, and size 1's row is not printed either.
+            ("1,9000000000000000000", "1"),
+        ],
+    )
+    def test_failed_size_prints_no_table(self, sizes, ratio, capsys):
+        assert main(["bench", "--sizes", sizes, "--ratio", ratio]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: out of memory\n"
+
 
 class TestErrorLines:
     """Bad input found by a subcommand goes through ``main``'s one error

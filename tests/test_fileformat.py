@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,13 @@ from hypothesis import strategies as st
 from conftest import FIXTURES, market_from, worked_market
 from houseswap import (
     Allocation,
+    DuplicateInPreferences,
+    DuplicateName,
     GenParams,
     IncompletePreferences,
     ParseError,
+    UnknownName,
+    ValidationError,
     htts_solve,
     load_market,
     parse_allocation_text,
@@ -22,9 +27,11 @@ from houseswap import (
     random_market,
     serialize_allocation,
     serialize_market,
+    validate_market,
 )
 from houseswap.rng import ShuffledRange
 from reference import ScalarSplitMix64, scalar_fisher_yates
+from test_market import VALIDATION_CASES
 
 
 class TestParseMarket:
@@ -119,6 +126,148 @@ class TestParseMarket:
     def test_parse_does_not_validate(self):
         raw = parse_market_text("houses: h1\nagent a endow h9 prefs h9\n")
         assert raw.agents[0].endowment == "h9"
+
+
+def _two_phase(text):
+    return validate_market(parse_market_text(text))
+
+
+def _outcome(load, text):
+    """The market ``load`` builds from ``text``, or its error's class and
+    message."""
+    try:
+        return load(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def _market_text(houses, agents):
+    lines = [" ".join(["houses:", *houses])]
+    for name, endowment, prefs in agents:
+        lines.append(
+            " ".join(["agent", name, "endow", endowment, "prefs", *prefs])
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _mutations(text):
+    """Faulty variants of a valid market text: each token of each
+    significant line dropped, duplicated, renamed and given a leading
+    '#', and the text cut at every offset; each also with a malformed
+    last line, whose syntax error takes precedence."""
+    for mutated in _single_mutations(text):
+        yield mutated
+        yield mutated + "\nagent z\n"
+
+
+def _single_mutations(text):
+    lines = text.split("\n")
+    for k, line in enumerate(lines):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        for j, token in enumerate(tokens):
+            for edit in (
+                [],
+                [token, token],
+                [token + "x"],
+                ["#" + token],
+            ):
+                mutated = " ".join(tokens[:j] + edit + tokens[j + 1:])
+                yield "\n".join(lines[:k] + [mutated] + lines[k + 1:])
+    for end in range(len(text)):
+        yield text[:end]
+
+
+def _odd_names_text():
+    # The names of test_odd_single_token_names_survive_both_formats;
+    # agent k owns house k and ranks house k + 1 first.
+    houses = ["#h", "->", "prefs", "endow", "houses:", "agent", "é"]
+    agents = ["h#", "->", "prefs", "endow", "houses:", "agent", "é"]
+    return _market_text(houses, [
+        (agents[k], houses[k], houses[k + 1:] + houses[:k + 1])
+        for k in range(len(houses))
+    ])
+
+
+LOAD_PATH_TEXTS = {
+    "worked": (FIXTURES / "worked.market").read_text(),
+    "empty-core": (FIXTURES / "empty_core.market").read_text(),
+    "generated": serialize_market(random_market(GenParams(7, 4, 3))),
+    "crlf": (FIXTURES / "worked.market").read_text().replace("\n", "\r\n"),
+    "hash-in-name": "houses: h1 h#2\nagent a#1 endow h#2 prefs h1 h#2\n"
+    "  # indented comment\nagent b endow h1 prefs h#2 h1\n",
+    "odd-names": _odd_names_text(),
+}
+
+
+class TestLoadMarketPaths:
+    """``load_market`` reads a file in one pass; it must build the same
+    market, and raise the same error, as ``parse_market_text`` followed
+    by ``validate_market``."""
+
+    @pytest.mark.parametrize("text", LOAD_PATH_TEXTS.values(), ids=LOAD_PATH_TEXTS)
+    def test_valid_texts_agree(self, text):
+        assert load_market(text) == _two_phase(text)
+
+    @pytest.mark.parametrize(
+        "agents, houses, seed", [(1, 1, 0), (40, 40, 1), (90, 30, 2)]
+    )
+    def test_generated_texts_agree(self, agents, houses, seed):
+        text = serialize_market(random_market(GenParams(agents, houses, seed)))
+        assert load_market(text) == _two_phase(text)
+
+    @pytest.mark.parametrize("text", LOAD_PATH_TEXTS.values(), ids=LOAD_PATH_TEXTS)
+    def test_mutated_texts_raise_the_same_error(self, text):
+        errors = set()
+        for mutated in _mutations(text):
+            expected = _outcome(_two_phase, mutated)
+            assert _outcome(load_market, mutated) == expected, mutated
+            if isinstance(expected, tuple):
+                errors.add(expected[0])
+        # The mutations reach the syntax check and each validation check.
+        assert {ParseError, DuplicateName, UnknownName,
+                DuplicateInPreferences, ValidationError} <= errors
+
+    def test_syntax_error_beats_an_earlier_validation_error(self):
+        text = (
+            "houses: h1 h2\n"
+            "agent a endow h9 prefs h1 h2\n"
+            "agent b endow h2 prefs h2 h1\n"
+            "agent c h1\n"
+        )
+        with pytest.raises(ParseError) as exc:
+            load_market(text)
+        assert str(exc.value) == (
+            "line 4: expected 'agent <name> endow <house> prefs <house> ...'"
+        )
+        # Without the syntax error, the validation error is raised.
+        with pytest.raises(UnknownName) as exc:
+            load_market(text.replace("agent c h1\n", ""))
+        assert str(exc.value) == "agent 'a' endowed with unknown house 'h9'"
+
+    @pytest.mark.parametrize("houses, agents, error, message", VALIDATION_CASES)
+    def test_validation_messages_through_text(
+        self, houses, agents, error, message
+    ):
+        text = _market_text(houses, agents)
+        outcome = _outcome(load_market, text)
+        assert outcome == _outcome(_two_phase, text)
+        names = [*houses, *(name for name, _, _ in agents)]
+        if all(name.split() == [name] for name in names):
+            # The text carries the case unchanged.
+            assert outcome == (error, message)
+
+    def test_memory_peak_below_four_times_the_text(self):
+        # The `file` benchmark's size: 1200 agents ranking 600 types.
+        text = serialize_market(random_market(GenParams(1200, 600, 0)))
+        tracemalloc.start()
+        try:
+            load_market(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(text)
 
 
 class TestSerializeMarket:

@@ -95,133 +95,135 @@ class TestValidateMarket:
         assert m.prefs[1] == (0, 1)
 
 
+# (houses, agents, error, message) cases of TestValidationMessages;
+# tests/test_fileformat.py also runs them through load_market as text.
+VALIDATION_CASES = [
+    (
+        ["h1", "h1"],
+        [("a", "h1", ["h1", "h1"])],
+        DuplicateName,
+        "duplicate house name 'h1'",
+    ),
+    (
+        ["h1"],
+        [("a", "h1", ["h1"]), ("a", "h1", ["h1"])],
+        DuplicateName,
+        "duplicate agent name 'a'",
+    ),
+    (
+        ["h1"],
+        [("a", "h9", ["h1"])],
+        UnknownName,
+        "agent 'a' endowed with unknown house 'h9'",
+    ),
+    (
+        ["h1", "h2"],
+        [("a", "h1", ["h2", "h9"])],
+        UnknownName,
+        "agent 'a' ranks unknown house 'h9'",
+    ),
+    (
+        ["h1", "h2"],
+        [("a", "h1", ["h1", "h1"])],
+        DuplicateInPreferences,
+        "agent 'a' ranks house 'h1' twice",
+    ),
+    (
+        ["h1", "h2", "h3"],
+        [("a", "h1", ["h3", "h1"])],
+        IncompletePreferences,
+        "agent 'a' ranks 2 of 3 house types",
+    ),
+    (
+        ["h1", "h2"],
+        [("a", "h1", ["h2", "h1"])],
+        UnendowedHouseType,
+        "house type 'h2' has no owner",
+    ),
+    # Several faults on one agent line.
+    (
+        ["h1", "h2"],
+        [("a", "h9", ["h9", "h1", "h1"])],
+        UnknownName,
+        "agent 'a' endowed with unknown house 'h9'",
+    ),
+    (
+        ["h1", "h2"],
+        [("a", "h1", ["h2", "h2", "h9"])],
+        DuplicateInPreferences,
+        "agent 'a' ranks house 'h2' twice",
+    ),
+    (
+        ["h1", "h2"],
+        [("a", "h1", ["h9", "h2", "h2"])],
+        UnknownName,
+        "agent 'a' ranks unknown house 'h9'",
+    ),
+    (
+        ["h1", "h2"],
+        [("a", "h1", ["h1", "h2", "h1"])],
+        DuplicateInPreferences,
+        "agent 'a' ranks house 'h1' twice",
+    ),
+    (
+        ["h1", "h2", "h3"],
+        [("a", "h1", ["h1", "h1"])],
+        DuplicateInPreferences,
+        "agent 'a' ranks house 'h1' twice",
+    ),
+    # The first faulty agent is reported, whatever the later ones hold.
+    (
+        ["h1", "h2"],
+        [
+            ("a", "h1", ["h1", "h2"]),
+            ("b", "h2", ["h2"]),
+            ("c", "h9", ["h9"]),
+        ],
+        IncompletePreferences,
+        "agent 'b' ranks 1 of 2 house types",
+    ),
+    # Names the text formats split at whitespace could not carry
+    # back; each is rejected where it is first read.
+    *[
+        (
+            [name],
+            [("a", name, [name])],
+            ValidationError,
+            f"house name {name!r} is not a single token",
+        )
+        for name in ["", "a b", "a\tb"]
+    ],
+    *[
+        (
+            ["h1"],
+            [(name, "h1", ["h1"])],
+            ValidationError,
+            f"agent name {name!r} is not a single token",
+        )
+        for name in ["", "a b", "a\tb"]
+    ],
+    (
+        ["a b", "c"],
+        [("x y", "a b", ["a b", "c"]), ("", "c", ["c", "a b"])],
+        ValidationError,
+        "house name 'a b' is not a single token",
+    ),
+    (
+        ["ab", "c"],
+        [("x y", "ab", ["ab", "c"]), ("", "c", ["c", "ab"])],
+        ValidationError,
+        "agent name 'x y' is not a single token",
+    ),
+]
+
+
 class TestValidationMessages:
     """Exact error text, and which fault is reported when a market has
     several: the first faulty agent in order, and within its line the
     endowment, then the ranked names position by position, then the
     list's length."""
 
-    @pytest.mark.parametrize(
-        "houses, agents, error, message",
-        [
-            (
-                ["h1", "h1"],
-                [("a", "h1", ["h1", "h1"])],
-                DuplicateName,
-                "duplicate house name 'h1'",
-            ),
-            (
-                ["h1"],
-                [("a", "h1", ["h1"]), ("a", "h1", ["h1"])],
-                DuplicateName,
-                "duplicate agent name 'a'",
-            ),
-            (
-                ["h1"],
-                [("a", "h9", ["h1"])],
-                UnknownName,
-                "agent 'a' endowed with unknown house 'h9'",
-            ),
-            (
-                ["h1", "h2"],
-                [("a", "h1", ["h2", "h9"])],
-                UnknownName,
-                "agent 'a' ranks unknown house 'h9'",
-            ),
-            (
-                ["h1", "h2"],
-                [("a", "h1", ["h1", "h1"])],
-                DuplicateInPreferences,
-                "agent 'a' ranks house 'h1' twice",
-            ),
-            (
-                ["h1", "h2", "h3"],
-                [("a", "h1", ["h3", "h1"])],
-                IncompletePreferences,
-                "agent 'a' ranks 2 of 3 house types",
-            ),
-            (
-                ["h1", "h2"],
-                [("a", "h1", ["h2", "h1"])],
-                UnendowedHouseType,
-                "house type 'h2' has no owner",
-            ),
-            # Several faults on one agent line.
-            (
-                ["h1", "h2"],
-                [("a", "h9", ["h9", "h1", "h1"])],
-                UnknownName,
-                "agent 'a' endowed with unknown house 'h9'",
-            ),
-            (
-                ["h1", "h2"],
-                [("a", "h1", ["h2", "h2", "h9"])],
-                DuplicateInPreferences,
-                "agent 'a' ranks house 'h2' twice",
-            ),
-            (
-                ["h1", "h2"],
-                [("a", "h1", ["h9", "h2", "h2"])],
-                UnknownName,
-                "agent 'a' ranks unknown house 'h9'",
-            ),
-            (
-                ["h1", "h2"],
-                [("a", "h1", ["h1", "h2", "h1"])],
-                DuplicateInPreferences,
-                "agent 'a' ranks house 'h1' twice",
-            ),
-            (
-                ["h1", "h2", "h3"],
-                [("a", "h1", ["h1", "h1"])],
-                DuplicateInPreferences,
-                "agent 'a' ranks house 'h1' twice",
-            ),
-            # The first faulty agent is reported, whatever the later ones hold.
-            (
-                ["h1", "h2"],
-                [
-                    ("a", "h1", ["h1", "h2"]),
-                    ("b", "h2", ["h2"]),
-                    ("c", "h9", ["h9"]),
-                ],
-                IncompletePreferences,
-                "agent 'b' ranks 1 of 2 house types",
-            ),
-            # Names the text formats split at whitespace could not carry
-            # back; each is rejected where it is first read.
-            *[
-                (
-                    [name],
-                    [("a", name, [name])],
-                    ValidationError,
-                    f"house name {name!r} is not a single token",
-                )
-                for name in ["", "a b", "a\tb"]
-            ],
-            *[
-                (
-                    ["h1"],
-                    [(name, "h1", ["h1"])],
-                    ValidationError,
-                    f"agent name {name!r} is not a single token",
-                )
-                for name in ["", "a b", "a\tb"]
-            ],
-            (
-                ["a b", "c"],
-                [("x y", "a b", ["a b", "c"]), ("", "c", ["c", "a b"])],
-                ValidationError,
-                "house name 'a b' is not a single token",
-            ),
-            (
-                ["ab", "c"],
-                [("x y", "ab", ["ab", "c"]), ("", "c", ["c", "ab"])],
-                ValidationError,
-                "agent name 'x y' is not a single token",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("houses, agents, error, message", VALIDATION_CASES)
     def test_exact_message(self, houses, agents, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
             market_from(houses, agents)
