@@ -9,8 +9,6 @@ a supply/demand mismatch inside the very first trading segment.
 """
 
 from houseswap import (
-    RawAgent,
-    RawMarket,
     enumerate_feasible_allocations,
     find_blocking_coalition,
     format_segment,
@@ -18,15 +16,14 @@ from houseswap import (
     validate_market,
 )
 
+# Each agent row is (name, endowment, ranking from best to worst).
 market = validate_market(
-    RawMarket(
-        houses=("h1", "h2"),
-        agents=(
-            RawAgent("1", "h1", ("h2", "h1")),
-            RawAgent("2", "h1", ("h2", "h1")),
-            RawAgent("3", "h2", ("h1", "h2")),
-        ),
-    )
+    houses=("h1", "h2"),
+    agents=(
+        ("1", "h1", ("h2", "h1")),
+        ("2", "h1", ("h2", "h1")),
+        ("3", "h2", ("h1", "h2")),
+    ),
 )
 
 # The verdict comes back negative, with the failing step identified.

@@ -8,8 +8,6 @@ at each step and the final allocation.
 """
 
 from houseswap import (
-    RawAgent,
-    RawMarket,
     format_segment,
     htts_solve,
     serialize_allocation,
@@ -18,17 +16,16 @@ from houseswap import (
 
 # Agent 1 owns the only h1 and wants h2; agents 2 and 3 share type h2
 # but disagree about what to chase; agents 4 and 5 want to swap h3/h4.
+# Each agent row is (name, endowment, ranking from best to worst).
 market = validate_market(
-    RawMarket(
-        houses=("h1", "h2", "h3", "h4"),
-        agents=(
-            RawAgent("1", "h1", ("h2", "h1", "h3", "h4")),
-            RawAgent("2", "h2", ("h1", "h2", "h3", "h4")),
-            RawAgent("3", "h2", ("h3", "h2", "h1", "h4")),
-            RawAgent("4", "h3", ("h4", "h1", "h2", "h3")),
-            RawAgent("5", "h4", ("h3", "h1", "h2", "h4")),
-        ),
-    )
+    houses=("h1", "h2", "h3", "h4"),
+    agents=(
+        ("1", "h1", ("h2", "h1", "h3", "h4")),
+        ("2", "h2", ("h1", "h2", "h3", "h4")),
+        ("3", "h2", ("h3", "h2", "h1", "h4")),
+        ("4", "h3", ("h4", "h1", "h2", "h3")),
+        ("5", "h4", ("h3", "h1", "h2", "h4")),
+    ),
 )
 
 # One call does everything: build pointing graphs, find sink components,

@@ -35,8 +35,6 @@ from .market import (
     DuplicateName,
     IncompletePreferences,
     Market,
-    RawAgent,
-    RawMarket,
     UnendowedHouseType,
     UnknownName,
     ValidationError,
@@ -65,8 +63,6 @@ __all__ = [
     "NonInjectiveEndowment",
     "OpCounter",
     "ParseError",
-    "RawAgent",
-    "RawMarket",
     "Segment",
     "SolveOutcome",
     "UnendowedHouseType",

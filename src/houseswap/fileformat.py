@@ -10,9 +10,11 @@ Lines end at ``\n``; the ``\r`` of a CRLF ending is blank.  Lines whose
 first non-blank character is ``#`` are comments; blank lines are ignored.
 Names are unique whitespace-free tokens.
 
-``load_market`` reads a market file in one pass, building each agent's
-house ids from its line before the next line is read; its errors are
-exactly those of ``parse_market_text`` followed by ``validate_market``.
+``parse_market_text`` returns ``(houses, agents)``, the arguments of
+``validate_market``.  ``load_market`` reads a market file in one pass,
+feeding its agent lines to ``validate_market`` as they are split; it
+builds the same market, or raises the same error, as
+``validate_market(*parse_market_text(text))``.
 
 Allocation file: one line per agent, in agent declaration order::
 
@@ -21,15 +23,7 @@ Allocation file: one line per agent, in agent declaration order::
 
 from __future__ import annotations
 
-from .market import (
-    Allocation,
-    Market,
-    RawAgent,
-    RawMarket,
-    ValidationError,
-    _build_market,
-    validate_market,
-)
+from .market import Allocation, Market, ValidationError, validate_market
 
 
 class ParseError(ValueError):
@@ -99,34 +93,41 @@ def _agent_rows(lines):
         yield name, endowment, tokens
 
 
-def parse_market_text(text: str) -> RawMarket:
-    """Parse market syntax; names are not resolved or validated here."""
+def parse_market_text(
+    text: str,
+) -> tuple[tuple[str, ...], tuple[tuple[str, str, tuple[str, ...]], ...]]:
+    """Parse market syntax into ``(houses, agents)``: the house names and
+    each agent's ``(name, endowment, prefs)`` row, the arguments of
+    ``validate_market``.  Names are not resolved or validated here."""
     lines = _significant_lines(text)
     houses = tuple(_house_names(text, lines))
     agents = tuple(
-        RawAgent(name, endowment, tuple(prefs))
+        (name, endowment, tuple(prefs))
         for name, endowment, prefs in _agent_rows(lines)
     )
-    return RawMarket(houses, agents)
+    return houses, agents
 
 
 def load_market(text: str) -> Market:
     """Parse and validate a market file in one pass over its lines.
 
-    Each agent line is split, checked and turned into house ids before
-    the next is read, so its name tokens do not outlive it.  Errors are
-    exactly those of ``validate_market(parse_market_text(text))``.
+    ``validate_market`` reads the agent rows as they are split, so each
+    line's name tokens do not outlive it.  Builds the same market, or
+    raises the same error, as ``validate_market(*parse_market_text(text))``:
+    a syntax error on any line beats a validation error on an earlier one.
     """
     lines = _significant_lines(text)
     houses = _house_names(text, lines)
+    rows = _agent_rows(lines)
     try:
-        # A syntax error raised here is the file's first, as
-        # ``parse_market_text`` raises it: rows are read lazily, and
-        # every row before it was valid.
-        return _build_market(houses, _agent_rows(lines))
+        # A syntax error raised here is the file's first: rows are read
+        # lazily, and every row before it was valid.
+        return validate_market(houses, rows)
     except ValidationError:
         # A syntax error on a later line takes precedence.
-        return validate_market(parse_market_text(text))
+        for _ in rows:
+            pass
+        raise
 
 
 def serialize_market(market: Market) -> str:

@@ -21,7 +21,7 @@ AgentId = int
 
 
 class ValidationError(ValueError):
-    """A raw market description violates the model's assumptions."""
+    """A market description violates the model's assumptions."""
 
 
 class DuplicateName(ValidationError):
@@ -42,23 +42,6 @@ class DuplicateInPreferences(ValidationError):
 
 class UnendowedHouseType(ValidationError):
     """A declared house type that no agent is endowed with."""
-
-
-@dataclass(frozen=True)
-class RawAgent:
-    """One agent line as parsed from a market file, names unresolved."""
-
-    name: str
-    endowment: str
-    prefs: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class RawMarket:
-    """Syntactically parsed market description, prior to validation."""
-
-    houses: tuple[str, ...]
-    agents: tuple[RawAgent, ...]
 
 
 @dataclass(frozen=True)
@@ -174,8 +157,15 @@ def _ranking_error(
     )
 
 
-def validate_market(raw: RawMarket) -> Market:
-    """Check a raw description against the model and build a Market.
+def validate_market(
+    houses: Sequence[str], agents: Iterable[tuple[str, str, Sequence[str]]]
+) -> Market:
+    """Check a market description against the model and build a Market.
+
+    ``houses`` are the house type names and ``agents`` the agents'
+    ``(name, endowment, prefs)`` rows, names unresolved.  The rows are
+    read lazily, one at a time, and not past the first faulty row; no
+    row is kept once its house ids are built.
 
     Rejects names that are not single whitespace-free tokens (the text
     formats could not carry them), duplicate or unknown names, agent
@@ -189,19 +179,6 @@ def validate_market(raw: RawMarket) -> Market:
     first fault (unknown or repeated name at its position, else
     incomplete), so the error does not depend on how the check is made.
     """
-    return _build_market(
-        raw.houses,
-        ((agent.name, agent.endowment, agent.prefs) for agent in raw.agents),
-    )
-
-
-def _build_market(
-    houses: Sequence[str], rows: Iterable[tuple[str, str, Sequence[str]]]
-) -> Market:
-    """``validate_market`` on the house names and the agents' ``(name,
-    endowment, prefs)`` rows, raising its errors.  ``rows`` is read
-    lazily, one row at a time, and not past the first faulty row; no row
-    is kept once its house ids are built."""
     house_index: dict[str, HouseId] = {}
     for name in houses:
         if name.split() != [name]:
@@ -216,7 +193,7 @@ def _build_market(
     seen_agents: set[str] = set()
     endowments: list[HouseId] = []
     prefs: list[tuple[HouseId, ...]] = []
-    for name, endowment, ranked in rows:
+    for name, endowment, ranked in agents:
         if name.split() != [name]:
             raise ValidationError(f"agent name {name!r} is not a single token")
         if name.startswith("#"):

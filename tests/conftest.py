@@ -10,22 +10,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from houseswap import Market, RawAgent, RawMarket, validate_market
+from houseswap import Market, validate_market
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def market_from(houses, agents) -> Market:
-    """Build and validate a market from (name, endow, prefs) rows."""
-    return validate_market(
-        RawMarket(
-            houses=tuple(houses),
-            agents=tuple(
-                RawAgent(name, endow, tuple(prefs))
-                for name, endow, prefs in agents
-            ),
-        )
-    )
 
 
 def worked_market() -> Market:
@@ -35,7 +22,7 @@ def worked_market() -> Market:
     solver reaches it by trading {h3, h4} first and {h1, h2} second.
     Matches tests/fixtures/worked.market.
     """
-    return market_from(
+    return validate_market(
         ["h1", "h2", "h3", "h4"],
         [
             ("1", "h1", ["h2", "h1", "h3", "h4"]),
@@ -56,7 +43,7 @@ def empty_core_market() -> Market:
 
     Matches tests/fixtures/empty_core.market.
     """
-    return market_from(
+    return validate_market(
         ["h1", "h2"],
         [
             ("1", "h1", ["h2", "h1"]),
@@ -68,7 +55,7 @@ def empty_core_market() -> Market:
 
 def minimal_market() -> Market:
     """One agent, one house type."""
-    return market_from(["h1"], [("a1", "h1", ["h1"])])
+    return validate_market(["h1"], [("a1", "h1", ["h1"])])
 
 
 def two_swap_pairs_market() -> Market:
@@ -77,7 +64,7 @@ def two_swap_pairs_market() -> Market:
     The step-1 pointing graph has two sink SCCs, so tie-break seeds can
     process the pairs in either order; the allocation never changes.
     """
-    return market_from(
+    return validate_market(
         ["h1", "h2", "h3", "h4"],
         [
             ("1", "h1", ["h2", "h1", "h3", "h4"]),

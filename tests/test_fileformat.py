@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, market_from, worked_market
+from conftest import FIXTURES, worked_market
 from houseswap import (
     Allocation,
     DuplicateInPreferences,
@@ -20,6 +20,7 @@ from houseswap import (
     ParseError,
     UnknownName,
     ValidationError,
+    fileformat,
     htts_solve,
     load_market,
     parse_allocation_text,
@@ -50,8 +51,8 @@ class TestParseMarket:
         assert m.agent_count == 1
 
     def test_indented_comment_ignored(self):
-        raw = parse_market_text("houses: h1\n  # comment\nagent a endow h1 prefs h1\n")
-        assert [agent.name for agent in raw.agents] == ["a"]
+        _, agents = parse_market_text("houses: h1\n  # comment\nagent a endow h1 prefs h1\n")
+        assert [name for name, _, _ in agents] == ["a"]
 
     @pytest.mark.parametrize("sep", ["\x0c", "\x85", "\u2028"])
     def test_line_break_characters_stay_inside_a_comment(self, sep):
@@ -124,12 +125,12 @@ class TestParseMarket:
             load_market(text)
 
     def test_parse_does_not_validate(self):
-        raw = parse_market_text("houses: h1\nagent a endow h9 prefs h9\n")
-        assert raw.agents[0].endowment == "h9"
+        _, agents = parse_market_text("houses: h1\nagent a endow h9 prefs h9\n")
+        assert agents[0][1] == "h9"
 
 
 def _two_phase(text):
-    return validate_market(parse_market_text(text))
+    return validate_market(*parse_market_text(text))
 
 
 def _outcome(load, text):
@@ -258,6 +259,39 @@ class TestLoadMarketPaths:
             # The text carries the case unchanged.
             assert outcome == (error, message)
 
+    def test_faulty_text_is_split_once(self, monkeypatch):
+        calls = []
+        split = fileformat._significant_lines
+
+        def counted(text):
+            calls.append(text)
+            return split(text)
+
+        monkeypatch.setattr(fileformat, "_significant_lines", counted)
+        text = (
+            "houses: h1 h2\n"
+            "agent a endow h9 prefs h1 h2\n"
+            "agent b endow h2 prefs h2 h1\n"
+            "agent c h1\n"
+        )
+        with pytest.raises(ParseError, match="^line 4: "):
+            load_market(text)
+        assert len(calls) == 1
+
+    def test_builds_through_the_module_validate_market(self, monkeypatch):
+        # The benchmark's tracer patches this global to time the load.
+        calls = []
+        build = fileformat.validate_market
+
+        def recorded(houses, agents):
+            calls.append(houses)
+            return build(houses, agents)
+
+        monkeypatch.setattr(fileformat, "validate_market", recorded)
+        m = load_market((FIXTURES / "worked.market").read_text())
+        assert m == worked_market()
+        assert calls == [["h1", "h2", "h3", "h4"]]
+
     def test_memory_peak_below_four_times_the_text(self):
         # The `file` benchmark's size: 1200 agents ranking 600 types.
         text = serialize_market(random_market(GenParams(1200, 600, 0)))
@@ -284,7 +318,7 @@ class TestSerializeMarket:
         agents = ["h#", "->", "prefs", "endow", "houses:", "agent", "é"]
         n = len(houses)
         # Agent k owns house k and ranks house k + 1 first: one cycle.
-        m = market_from(houses, [
+        m = validate_market(houses, [
             (agents[k], houses[k], [houses[(k + 1 + j) % n] for j in range(n)])
             for k in range(n)
         ])

@@ -26,7 +26,6 @@ import houseswap.htts
 from conftest import (
     WORKED_ASSIGNMENT,
     empty_core_market,
-    market_from,
     minimal_market,
     two_swap_pairs_market,
     worked_market,
@@ -40,6 +39,7 @@ from houseswap import (
     htts_solve,
     random_market,
     solve_with_tiebreak,
+    validate_market,
 )
 from houseswap.rng import SplitMix64
 from reference import (
@@ -54,7 +54,7 @@ from reference import (
 
 def two_step_empty_core_market():
     """Step 1 trades h1/h2 away cleanly; step 2 is infeasible."""
-    return market_from(
+    return validate_market(
         ["h1", "h2", "h3", "h4"],
         [
             ("1", "h1", ["h2", "h1", "h3", "h4"]),
@@ -97,7 +97,7 @@ class TestBuildPointingGraph:
         }
 
     def test_everyone_top_ranks_own_endowment(self):
-        m = market_from(
+        m = validate_market(
             ["h1", "h2"],
             [("a", "h1", ["h1", "h2"]), ("b", "h2", ["h2", "h1"])],
         )
@@ -163,7 +163,7 @@ class TestHttsSolve:
         assert len(out.trace) == 1
 
     def test_one_house_type_many_owners(self):
-        m = market_from(
+        m = validate_market(
             ["h1"],
             [("a", "h1", ["h1"]), ("b", "h1", ["h1"]), ("c", "h1", ["h1"])],
         )
@@ -253,7 +253,7 @@ def chain_market(house_count):
     """One owner per type and one ranking for all: each step's only sink
     is the top remaining type, so the solve takes one step per type."""
     houses = [f"h{h}" for h in range(house_count)]
-    return market_from(
+    return validate_market(
         houses, [(f"a{h}", houses[h], houses) for h in range(house_count)]
     )
 

@@ -8,15 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import empty_core_market, market_from, minimal_market, worked_market
+from conftest import empty_core_market, minimal_market, worked_market
 from houseswap import (
     Allocation,
     DuplicateInPreferences,
     DuplicateName,
     GenParams,
     IncompletePreferences,
-    RawAgent,
-    RawMarket,
     UnendowedHouseType,
     UnknownName,
     ValidationError,
@@ -46,51 +44,46 @@ class TestValidateMarket:
         assert m.endowments == (0,)
 
     def test_empty_market_is_valid(self):
-        m = validate_market(RawMarket(houses=(), agents=()))
+        m = validate_market((), ())
         assert m.agent_count == 0 and m.house_count == 0
 
     def test_duplicate_house_name(self):
         with pytest.raises(DuplicateName):
-            market_from(["h1", "h1"], [("a", "h1", ["h1", "h1"])])
+            validate_market(["h1", "h1"], [("a", "h1", ["h1", "h1"])])
 
     def test_duplicate_agent_name(self):
         with pytest.raises(DuplicateName):
-            market_from(
+            validate_market(
                 ["h1"], [("a", "h1", ["h1"]), ("a", "h1", ["h1"])]
             )
 
     def test_unknown_endowment(self):
         with pytest.raises(UnknownName):
-            market_from(["h1"], [("a", "h9", ["h1"])])
+            validate_market(["h1"], [("a", "h9", ["h1"])])
 
     def test_unknown_house_in_prefs(self):
         with pytest.raises(UnknownName):
-            market_from(["h1"], [("a", "h1", ["h9"])])
+            validate_market(["h1"], [("a", "h1", ["h9"])])
 
     def test_incomplete_prefs(self):
         with pytest.raises(IncompletePreferences):
-            market_from(["h1", "h2"], [("a", "h1", ["h1"]), ("b", "h2", ["h1", "h2"])])
+            validate_market(["h1", "h2"], [("a", "h1", ["h1"]), ("b", "h2", ["h1", "h2"])])
 
     def test_duplicate_in_prefs(self):
         with pytest.raises(DuplicateInPreferences):
-            market_from(
+            validate_market(
                 ["h1", "h2"],
                 [("a", "h1", ["h1", "h1"]), ("b", "h2", ["h1", "h2"])],
             )
 
     def test_unendowed_house_type(self):
         with pytest.raises(UnendowedHouseType):
-            market_from(["h1", "h2"], [("a", "h1", ["h2", "h1"])])
+            validate_market(["h1", "h2"], [("a", "h1", ["h2", "h1"])])
 
     def test_raw_prefs_order_preserved(self):
-        raw = RawMarket(
-            houses=("x", "y"),
-            agents=(
-                RawAgent("a", "y", ("y", "x")),
-                RawAgent("b", "x", ("x", "y")),
-            ),
+        m = validate_market(
+            ("x", "y"), [("a", "y", ("y", "x")), ("b", "x", ("x", "y"))]
         )
-        m = validate_market(raw)
         assert m.prefs[0] == (1, 0)
         assert m.prefs[1] == (0, 1)
 
@@ -226,7 +219,7 @@ class TestValidationMessages:
     @pytest.mark.parametrize("houses, agents, error, message", VALIDATION_CASES)
     def test_exact_message(self, houses, agents, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
-            market_from(houses, agents)
+            validate_market(houses, agents)
         assert type(info.value) is error
         assert isinstance(info.value, ValidationError)
 

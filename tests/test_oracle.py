@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from conftest import (
     WORKED_ASSIGNMENT,
     empty_core_market,
-    market_from,
     minimal_market,
     worked_market,
 )
@@ -33,6 +32,7 @@ from houseswap import (
     htts_solve,
     random_market,
     ttc_solve,
+    validate_market,
 )
 
 
@@ -89,7 +89,7 @@ class TestEnumerateFeasibleAllocations:
         assert [a.assignment for a in enumerate_feasible_allocations(minimal_market())] == [(0,)]
 
     def test_two_copies_indistinguishable(self):
-        m = market_from(
+        m = validate_market(
             ["h1"], [("a", "h1", ["h1"]), ("b", "h1", ["h1"])]
         )
         assert [a.assignment for a in enumerate_feasible_allocations(m)] == [(0, 0)]
@@ -189,14 +189,14 @@ class TestEnumerateStrictCore:
 
 class TestTtcSolve:
     def test_two_agent_swap(self):
-        m = market_from(
+        m = validate_market(
             ["h1", "h2"],
             [("a", "h1", ["h2", "h1"]), ("b", "h2", ["h1", "h2"])],
         )
         assert ttc_solve(m).assignment == (1, 0)
 
     def test_identity_when_everyone_top_ranks_own(self):
-        m = market_from(
+        m = validate_market(
             ["h1", "h2", "h3"],
             [
                 ("a", "h1", ["h1", "h2", "h3"]),
@@ -208,7 +208,7 @@ class TestTtcSolve:
 
     def test_long_cycle(self):
         # 1 -> 2 -> 3 -> 1 rotation.
-        m = market_from(
+        m = validate_market(
             ["h1", "h2", "h3"],
             [
                 ("a", "h1", ["h2", "h1", "h3"]),
