@@ -10,11 +10,11 @@ a supply/demand mismatch inside the very first trading segment.
 
 from houseswap import (
     enumerate_feasible_allocations,
-    find_blocking_coalition,
     format_segment,
     htts_solve,
     validate_market,
 )
+from houseswap.oracle import find_blocking_coalition
 
 # Each agent row is (name, endowment, ranking from best to worst).
 market = validate_market(

@@ -24,6 +24,7 @@ from .htts import (
     OpCounter,
     Segment,
     SolveOutcome,
+    blocking_coalition,
     format_segment,
     format_trace,
     htts_solve,
@@ -31,6 +32,7 @@ from .htts import (
 )
 from .market import (
     Allocation,
+    BlockingCertificate,
     DuplicateInPreferences,
     DuplicateName,
     IncompletePreferences,
@@ -41,12 +43,10 @@ from .market import (
     validate_market,
 )
 from .oracle import (
-    BlockingCertificate,
     CapExceeded,
     NonInjectiveEndowment,
     enumerate_feasible_allocations,
     enumerate_strict_core,
-    find_blocking_coalition,
     ttc_solve,
 )
 
@@ -68,9 +68,9 @@ __all__ = [
     "UnendowedHouseType",
     "UnknownName",
     "ValidationError",
+    "blocking_coalition",
     "enumerate_feasible_allocations",
     "enumerate_strict_core",
-    "find_blocking_coalition",
     "format_segment",
     "format_trace",
     "htts_solve",

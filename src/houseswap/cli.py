@@ -2,8 +2,9 @@
 
 Exit codes: 0 for a found allocation or a verified core member, 2 for
 an empty core or a blocked allocation, 1 for bad input (usage errors,
-unreadable files, parse or validation errors, cap overruns, out of
-memory).  Every error is one ``error: <message>`` line on stderr.
+unreadable files, parse or validation errors, ``oracle``'s cap
+overruns, out of memory).  Every error is one ``error: <message>``
+line on stderr.
 """
 
 from __future__ import annotations
@@ -23,9 +24,15 @@ from .fileformat import (
     serialize_market,
 )
 from .gen import GenParams, InvalidParams, random_market
-from .htts import OpCounter, format_trace, htts_solve, solve_with_tiebreak
+from .htts import (
+    OpCounter,
+    blocking_coalition,
+    format_trace,
+    htts_solve,
+    solve_with_tiebreak,
+)
 from .market import Market, ValidationError
-from .oracle import CapExceeded, enumerate_strict_core, find_blocking_coalition
+from .oracle import CapExceeded, enumerate_strict_core
 
 
 def _read_market(path: str) -> Market:
@@ -62,13 +69,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     allocation = parse_allocation_text(read_text(args.allocation), market)
     if not market.feasible_allocation(allocation.assignment):
         raise ValidationError("allocation does not match the endowment counts")
-    # The strict core has at most one member, so the solver's core
-    # settles membership at any size; only other allocations need the
-    # capped brute-force search for a blocking coalition.
-    outcome = htts_solve(market)
-    if outcome.core_found and outcome.allocation == allocation:
-        return 0
-    certificate = find_blocking_coalition(market, allocation)
+    # The solve's trace names a coalition blocking any feasible
+    # allocation other than the core, at any size.
+    certificate = blocking_coalition(market, htts_solve(market), allocation)
     if certificate is None:
         return 0
     names = ",".join(market.agent_name(i) for i in certificate.coalition)

@@ -37,6 +37,11 @@ O(house_count**2 + house_count * agent_count); in practice a step reads
 only the path from its root to the first sink.  A seeded solve makes
 house_count / live draws per step on average, O(house_count *
 log(house_count)) over the whole solve.
+
+The strict core has at most one member, and a solve's trace names a
+coalition blocking any other feasible allocation: ``blocking_coalition``
+finds a trading cycle in the first segment where that allocation
+departs from the trace.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .digraph import SccStats, scc_components
-from .market import AgentId, Allocation, HouseId, Market
+from .market import AgentId, Allocation, BlockingCertificate, HouseId, Market
 from .rng import SplitMix64
 
 
@@ -221,6 +226,56 @@ def _solve(
     if feasible:
         return SolveOutcome(Allocation(tuple(targets)), tuple(trace), None)
     return SolveOutcome(None, tuple(trace), len(trace))
+
+
+def blocking_coalition(
+    market: Market, outcome: SolveOutcome, mu: Allocation
+) -> BlockingCertificate | None:
+    """A coalition that blocks the feasible allocation ``mu``, read from
+    ``outcome``, a solve of ``market``; ``None`` when ``mu`` is its core.
+
+    Take the first trace segment in which ``mu`` gives some owner a type
+    other than the segment's assignment, and ``i`` the smallest such
+    owner.  Every earlier segment agrees with ``mu`` and uses up every
+    copy of its types, so ``mu`` gives each owner in this segment a
+    remaining type, at best its favorite, and gives ``i`` a worse one.
+    The favorite arcs inside the segment (a type to its owners'
+    favorites) are strongly connected, so a breadth-first search from
+    ``i``'s favorite reaches ``i``'s endowment.  ``i`` and the owners on
+    that path, each given their favorite, trade their own endowments and
+    block ``mu``.  A feasible ``mu`` cannot give every owner of an
+    infeasible segment their favorite, so with an empty core it is
+    always blocked.  Work is linear in the trace up to that segment.
+    """
+    assignment = mu.assignment
+    owners_by_house = market.owners_by_house
+    for seg in outcome.trace:
+        fav = seg.assignment
+        i = next((j for j in seg.owners if assignment[j] != fav[j]), None)
+        if i is None:
+            continue
+        endowment = market.endowments[i]
+        # reached[h]: the type and owner whose favorite arc reached h.
+        reached: dict[HouseId, tuple[HouseId, AgentId] | None] = {fav[i]: None}
+        frontier = [fav[i]]
+        for h in frontier:
+            if h == endowment:
+                break
+            for j in owners_by_house[h]:
+                if fav[j] not in reached:
+                    reached[fav[j]] = (h, j)
+                    frontier.append(fav[j])
+        coalition = [i]
+        step = reached[endowment]
+        while step is not None:
+            h, j = step
+            coalition.append(j)
+            step = reached[h]
+        coalition.sort()
+        return BlockingCertificate(
+            tuple(coalition), {j: fav[j] for j in coalition}
+        )
+    return None
 
 
 def format_segment(market: Market, segment: Segment) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 HouseId = int
 AgentId = int
@@ -135,6 +135,19 @@ class Allocation:
 
     def __len__(self) -> int:
         return len(self.assignment)
+
+
+@dataclass(frozen=True)
+class BlockingCertificate:
+    """A coalition and sub-allocation witnessing a strict-core violation.
+
+    The sub-allocation redistributes exactly the coalition's endowment
+    multiset; every member weakly improves on the blocked allocation and
+    at least one strictly improves.
+    """
+
+    coalition: tuple[AgentId, ...]
+    sub_allocation: Mapping[AgentId, HouseId]
 
 
 def _ranking_error(

@@ -5,6 +5,8 @@ every feasible allocation, and for each one search every coalition for a
 sub-allocation that redistributes the coalition's own endowment so that
 all members are weakly better off and at least one strictly.  They exist
 to cross-check the polynomial solver, so they share no code with it.
+The CLI's ``oracle`` command runs them; ``verify`` does not, since it
+reads its blocking coalitions from a solve (``htts.blocking_coalition``).
 
 Everything is capped at a fixed 8 agents (``DEFAULT_CAP``); beyond that
 the search space is unreasonable and callers get ``CapExceeded``.  Only
@@ -14,11 +16,10 @@ the search space is unreasonable and callers get ``CapExceeded``.  Only
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
-from .market import AgentId, Allocation, HouseId, Market
+from .market import AgentId, Allocation, BlockingCertificate, HouseId, Market
 
 DEFAULT_CAP = 8
 
@@ -29,19 +30,6 @@ class CapExceeded(ValueError):
 
 class NonInjectiveEndowment(ValueError):
     """ttc_solve requires every house type to have exactly one owner."""
-
-
-@dataclass(frozen=True)
-class BlockingCertificate:
-    """A coalition and sub-allocation witnessing a strict-core violation.
-
-    The sub-allocation redistributes exactly the coalition's endowment
-    multiset; every member weakly improves on the blocked allocation and
-    at least one strictly improves.
-    """
-
-    coalition: tuple[AgentId, ...]
-    sub_allocation: Mapping[AgentId, HouseId]
 
 
 def _check_cap(market: Market, cap: int) -> None:

@@ -20,6 +20,11 @@ checks each segment in time linear in the market's size plus the rank
 positions read, so it can run on every segment of solves far too large
 for the from-scratch helpers above.
 
+``check_certificate`` checks a blocking coalition against the
+definition of blocking, reading only the market, so it can judge the
+certificates of ``houseswap.htts.blocking_coalition`` and of the brute
+force alike, at any size.
+
 ``segmentation_core`` is a second, polynomial strict-core solver that
 shares no code with ``houseswap.htts`` or ``houseswap.digraph``: it
 works on agents instead of house types, finds each step's sink component
@@ -43,7 +48,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from houseswap.digraph import SccStats, scc_components
 from houseswap.htts import OpCounter, Segment, SolveOutcome
-from houseswap.market import AgentId, Allocation, HouseId, Market
+from houseswap.market import (
+    AgentId,
+    Allocation,
+    BlockingCertificate,
+    HouseId,
+    Market,
+)
 from houseswap.rng import SplitMix64
 
 
@@ -423,6 +434,37 @@ def check_trace(market: Market, outcome: SolveOutcome) -> None:
     else:
         assert outcome.trace and not outcome.trace[-1].feasible
         assert outcome.failed_step == len(outcome.trace)
+
+
+def check_certificate(
+    market: Market, mu: Allocation, cert: BlockingCertificate | None
+) -> None:
+    """Check from the definition alone that ``cert`` blocks ``mu``; raise
+    AssertionError if it does not.
+
+    The coalition must be distinct agents, ascending, and its
+    sub-allocation must give them a permutation of their own endowments.
+    Every member must rank its new type at or above its type under
+    ``mu``, and at least one strictly above.  Each ranking is read only
+    up to the first of the two types, so this costs little on markets of
+    any size when the new types are near the top.
+    """
+    assert cert is not None, "no certificate"
+    members = cert.coalition
+    assert members and members == tuple(sorted(set(members)))
+    sub = cert.sub_allocation
+    assert set(sub) == set(members)
+    endowments = sorted(market.endowments[i] for i in members)
+    assert sorted(sub.values()) == endowments
+    strict = False
+    for i in members:
+        new, old = sub[i], mu[i]
+        if new == old:
+            continue
+        first = next(h for h in market.prefs[i] if h in (new, old))
+        assert first == new, f"agent {i} ranks {new} below {old}"
+        strict = True
+    assert strict, "no member strictly improves"
 
 
 def _strongly_connected(arcs: dict[int, set[int]]) -> bool:

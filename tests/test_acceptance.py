@@ -14,7 +14,11 @@ pass/fail lines (without ``-s`` pytest shows them only on failure).
    9..399 agents and a planted market with 2,000 agents and 100
    segments, in under C2B_BOUND_S seconds; the reference returns the
    planted allocation.  The reference itself matches brute-force
-   enumeration on criterion 2's markets.
+   enumeration on criterion 2's markets.  Outside that time, the
+   solve's trace certifies a blocking coalition (``blocking_coalition``,
+   checked by ``check_certificate``) for each market's endowment
+   allocation and for its core with two types swapped, unless the
+   allocation is the core.
 3. Solver output equals classic top-trading-cycles on 504 injective
    markets with 2..8 agents, in under 30 s.
 4. Total operation count scales with a fitted log-log slope of at most
@@ -30,8 +34,10 @@ pass/fail lines (without ``-s`` pytest shows them only on failure).
    core in exactly 557 steps; the allocation equals classic
    top-trading-cycles and the solve under tie-break seed 1, and the
    three calls take under C7_BOUND_S seconds together.  Outside that
-   time, a linear replay checks every segment of both solves.  The
-   planted half: a duplicate-type market with 10,000 agents, 5,000 house
+   time, a linear replay checks every segment of both solves, and each
+   solve's trace certifies a coalition blocking the endowment
+   allocation, here and in the planted half.  The planted half: a
+   duplicate-type market with 10,000 agents, 5,000 house
    types and a planted core of 500 segments (``perfbench/planted.py``)
    finds that core in exactly 500 steps, under tie-break seed 1 too, and
    the two solves take under C7_PLANTED_BOUND_S seconds together.
@@ -49,8 +55,11 @@ import pytest
 
 from conftest import WORKED_ASSIGNMENT, worked_market
 from houseswap import (
+    Allocation,
     GenParams,
     OpCounter,
+    blocking_coalition,
+    enumerate_feasible_allocations,
     enumerate_strict_core,
     htts_solve,
     random_market,
@@ -60,6 +69,7 @@ from houseswap import (
 from reference import (
     best_house,
     build_pointing_graph,
+    check_certificate,
     check_feasibility,
     check_trace,
     condensation,
@@ -161,6 +171,46 @@ def test_segmentation_core_matches_enumeration(duplicate_type_markets):
         assert segmentation_core(m) == (core[0].assignment if core else None)
 
 
+def test_blocking_coalition_matches_brute_force(duplicate_type_markets):
+    # `verify` trusts the trace certificate at every size.  The brute
+    # force finds a blocking coalition for exactly the allocations
+    # outside its enumerated core, with one search built per market.
+    # Solves that take the same segments have the same trace, and so give
+    # the same certificates: each distinct trace is checked once.
+    for m in duplicate_type_markets:
+        core = enumerate_strict_core(m)
+        outcomes = {}
+        for out in [htts_solve(m)] + [
+            solve_with_tiebreak(m, seed) for seed in range(4)
+        ]:
+            outcomes.setdefault(tuple(seg.houses for seg in out.trace), out)
+        for mu in enumerate_feasible_allocations(m):
+            blocked = mu not in core
+            for out in outcomes.values():
+                cert = blocking_coalition(m, out, mu)
+                assert (cert is not None) == blocked
+                if blocked:
+                    check_certificate(m, mu, cert)
+
+
+def _check_verdict(m, out, mu, core) -> None:
+    """``blocking_coalition`` accepts ``mu`` exactly when it is ``core``,
+    and otherwise names a coalition that blocks it."""
+    cert = blocking_coalition(m, out, mu)
+    if mu.assignment == core:
+        assert cert is None
+    else:
+        check_certificate(m, mu, cert)
+
+
+def _swap_first_differing(core):
+    """``core`` with its first two agents of different types swapped."""
+    b = next(i for i, h in enumerate(core) if h != core[0])
+    swapped = list(core)
+    swapped[0], swapped[b] = core[b], core[0]
+    return Allocation(tuple(swapped))
+
+
 def test_criterion_2b_reference_oracle():
     with criterion("2b polynomial reference"):
         markets = []
@@ -175,21 +225,30 @@ def test_criterion_2b_reference_oracle():
         markets.append(_planted_market(2000, 1000, 100, 2))
         start = time.perf_counter()
         found = 0
+        solved = []
         for m, planted in markets:
             reference = segmentation_core(m)
             if planted is not None:
                 assert reference == planted
             out = htts_solve(m)
+            solved.append((m, out, reference))
             assert out.core_found == (reference is not None)
             if reference is None:
                 continue
             found += 1
             assert out.allocation.assignment == reference
             for tiebreak in range(8):
-                out = solve_with_tiebreak(m, tiebreak)
-                assert out.allocation.assignment == reference
+                tiebroken = solve_with_tiebreak(m, tiebreak)
+                assert tiebroken.allocation.assignment == reference
         assert time.perf_counter() - start < C2B_BOUND_S
         assert found == 50 + 41  # random markets with a core, every planted one
+        # Outside the timed loop: the trace certifies the endowment
+        # allocation, and the core with two of its types swapped.
+        for m, out, reference in solved:
+            _check_verdict(m, out, Allocation(m.endowments), reference)
+            if reference is not None and len(set(reference)) > 1:
+                swapped = _swap_first_differing(reference)
+                _check_verdict(m, out, swapped, reference)
 
 
 def test_criterion_3_ttc_special_case(injective_markets):
@@ -241,6 +300,9 @@ def test_criterion_7_multistep_at_scale():
         assert elapsed < C7_BOUND_S
         check_trace(m, out)
         check_trace(m, tiebroken)
+        endowment = Allocation(m.endowments)
+        _check_verdict(m, out, endowment, out.allocation.assignment)
+        _check_verdict(m, tiebroken, endowment, out.allocation.assignment)
 
 
 def _planted_market(*args):
@@ -266,6 +328,9 @@ def test_criterion_7_planted_at_scale():
         assert elapsed < C7_PLANTED_BOUND_S
         check_trace(m, out)
         check_trace(m, tiebroken)
+        endowment = Allocation(m.endowments)
+        _check_verdict(m, out, endowment, planted)
+        _check_verdict(m, tiebroken, endowment, planted)
 
 
 def test_criterion_5_tiebreak_invariance():

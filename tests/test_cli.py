@@ -16,14 +16,18 @@ import pytest
 
 from conftest import FIXTURES
 from houseswap import (
+    BlockingCertificate,
     OpCounter,
+    enumerate_feasible_allocations,
     format_segment,
     htts_solve,
     load_market,
     parse_allocation_text,
+    serialize_allocation,
     solve_with_tiebreak,
 )
 from houseswap.cli import main
+from reference import check_certificate
 
 WORKED = str(FIXTURES / "worked.market")
 EMPTY_CORE = str(FIXTURES / "empty_core.market")
@@ -195,8 +199,9 @@ class TestVerify:
         alloc = tmp_path / "identity.alloc"
         alloc.write_text("1 -> h1\n2 -> h2\n3 -> h2\n4 -> h3\n5 -> h4\n")
         assert main(["verify", WORKED, str(alloc)]) == 2
+        # The trading cycle in the trace's first segment, {h3,h4}.
         assert capsys.readouterr().out == (
-            "BLOCKED by {1,2}\n  1 -> h2\n  2 -> h1\n"
+            "BLOCKED by {4,5}\n  4 -> h4\n  5 -> h3\n"
         )
 
     def test_infeasible_multiset(self, tmp_path, capsys):
@@ -231,9 +236,28 @@ class TestVerify:
             out = capsys.readouterr()
             assert out.out == "" and out.err == ""
 
-    def test_other_allocation_above_cap_still_needs_enumeration(
-        self, tmp_path, capsys
-    ):
+    def assert_blocked(self, market_path, alloc_path, capsys):
+        """``verify`` exits 2 with a certificate that blocks the
+        allocation, and nothing on stderr."""
+        assert main(["verify", market_path, str(alloc_path)]) == 2
+        out = capsys.readouterr()
+        assert out.err == ""
+        market = load_market(Path(market_path).read_text())
+        mu = parse_allocation_text(Path(alloc_path).read_text(), market)
+        head, *trades = out.out.splitlines()
+        names = re.fullmatch(r"BLOCKED by \{(.*)\}", head).group(1)
+        coalition = [market.agent_index[name] for name in names.split(",")]
+        sub_allocation = {}
+        for line in trades:
+            agent, house = re.fullmatch(r"  (\S+) -> (\S+)", line).groups()
+            house_id = market.house_index[house]
+            sub_allocation[market.agent_index[agent]] = house_id
+        assert list(sub_allocation) == coalition
+        check_certificate(
+            market, mu, BlockingCertificate(tuple(coalition), sub_allocation)
+        )
+
+    def test_other_allocation_above_cap_is_blocked(self, tmp_path, capsys):
         market, alloc = self.solved_allocation(tmp_path, capsys, "12")
         lines = alloc.read_text().splitlines()
         # The first two agents swap their assigned types: still feasible,
@@ -241,10 +265,16 @@ class TestVerify:
         a, b = lines[0].split(" -> "), lines[1].split(" -> ")
         lines[0], lines[1] = f"{a[0]} -> {b[1]}", f"{b[0]} -> {a[1]}"
         alloc.write_text("\n".join(lines) + "\n")
-        assert main(["verify", market, str(alloc)]) == 1
-        assert capsys.readouterr().err == (
-            "error: 12 agents exceeds enumeration cap 8\n"
-        )
+        self.assert_blocked(market, alloc, capsys)
+
+    def test_every_empty_core_allocation_blocked(self, tmp_path, capsys):
+        market = load_market(Path(EMPTY_CORE).read_text())
+        allocations = list(enumerate_feasible_allocations(market))
+        assert len(allocations) == 3
+        alloc = tmp_path / "mu.alloc"
+        for mu in allocations:
+            alloc.write_text(serialize_allocation(market, mu))
+            self.assert_blocked(EMPTY_CORE, alloc, capsys)
 
     def test_non_utf8_allocation_names_line(self, tmp_path, capsys):
         alloc = tmp_path / "bad.alloc"

@@ -27,9 +27,9 @@ PUBLIC_NAMES = [
     "UnendowedHouseType",
     "UnknownName",
     "ValidationError",
+    "blocking_coalition",
     "enumerate_feasible_allocations",
     "enumerate_strict_core",
-    "find_blocking_coalition",
     "format_segment",
     "format_trace",
     "htts_solve",
