@@ -12,7 +12,7 @@ The k-th splitmix64 output depends only on ``state + k * gamma``, so
 ``_draw_block`` computes a whole run of draws at once.  ``_shuffle``
 runs Fisher-Yates over a plain list from such a run; ``fisher_yates``
 and the completion of a ``ShuffledRange`` both call it.  ``SplitMix64``
-serves its one-at-a-time draws from such runs too.
+serves its one-at-a-time draws from such runs too, ``_FILL`` at a time.
 
 ``ShuffledRange`` produces exactly the permutation the eager shuffle
 would, but materializes elements on demand, so a market whose preference
@@ -41,11 +41,13 @@ _DENSE_SHARE = 16
 # whole-int operation works on a few kilobytes.
 _BLOCK = 256
 
-# A ``SplitMix64`` buffers ``_FILL`` draws at each fill.  Fills of 256
+# A ``SplitMix64`` buffers ``_FILL`` draws at each fill, and ``below``
+# and ``next_u64`` pop them straight from that buffer.  Fills of 256
 # draws left a planted 6000x3000 build's peak resident set about 330 KB
 # higher (VmHWM, glibc malloc, CPython 3.11) with the same live bytes by
 # tracemalloc: their kilobyte-sized temporaries fragment the heap between
-# the build's own allocations.  Fills of 64 left it unchanged.
+# the build's own allocations.  Fills of 64 left it unchanged.  A fill
+# reads its lane constants from ``_FILL_LANES``, built once at import.
 _FILL = 64
 
 
@@ -61,12 +63,20 @@ _ONES = _packed([1] * _BLOCK)
 _STEPS = _packed(k * _GAMMA for k in range(1, _BLOCK + 1))
 _LOW = _packed([_MASK64] * _BLOCK)
 
+# The same constants for a run of exactly ``_FILL`` lanes, the length of
+# every ``SplitMix64`` refill: their top ``_FILL`` lanes, shifted down
+# once here rather than at each refill.
+_FILL_LANES = tuple(c >> 128 * (_BLOCK - _FILL) for c in (_ONES, _STEPS, _LOW))
+
 
 class SplitMix64:
     """splitmix64 stream; ``seed`` is reduced mod 2**64.
 
-    Outputs are served from a buffer of at most ``_FILL`` pending draws,
-    filled by ``_draw_block``.  ``state`` is the stream's logical
+    ``next_u64`` and ``below`` each pop their output straight from a
+    buffer of at most ``_FILL`` pending draws, refilled by
+    ``_draw_block`` from lane constants built once at import.  So a
+    subclass that overrides ``next_u64`` does not see ``below``'s draws;
+    count draws by ``state`` instead.  ``state`` is the stream's logical
     position: the state after the last output returned, whatever the
     buffer holds.  Assigning it (reduced mod 2**64) moves the stream there
     and empties the buffer, so ``fisher_yates``, which reads the state,
@@ -103,8 +113,14 @@ class SplitMix64:
         return draws.pop()
 
     def below(self, n: int) -> int:
-        """Uniform-ish draw in [0, n) via the multiply-shift reduction."""
-        return (self.next_u64() * n) >> 64
+        """Uniform-ish draw in [0, n) via the multiply-shift reduction.
+
+        Served straight from the buffer, as ``next_u64`` is: calling it
+        would add a call to every draw."""
+        try:
+            return (self._pending.pop() * n) >> 64
+        except IndexError:
+            return (self._refill() * n) >> 64
 
 
 def _draw_block(state: int, count: int) -> tuple[list[int], int]:
@@ -127,13 +143,17 @@ def _draw_block(state: int, count: int) -> tuple[list[int], int]:
     out: list[int] = []
     while count > 0:
         c = min(count, _BLOCK)
-        ones, steps, low = _ONES, _STEPS, _LOW
+        # Drop the low ``spare`` lanes and start that many steps back.
+        # A refill's run of ``_FILL`` lanes finds them dropped already.
         spare = _BLOCK - c
-        if spare:
-            # Drop the low ``spare`` lanes and start that many steps back.
-            ones >>= 128 * spare
-            steps >>= 128 * spare
-            low >>= 128 * spare
+        if c == _FILL:
+            ones, steps, low = _FILL_LANES
+        else:
+            ones, steps, low = _ONES, _STEPS, _LOW
+            if spare:
+                ones >>= 128 * spare
+                steps >>= 128 * spare
+                low >>= 128 * spare
         z = (((state - spare * _GAMMA) & _MASK64) * ones + steps) & low
         z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
         z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low

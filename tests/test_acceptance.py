@@ -13,7 +13,8 @@ pass/fail lines (without ``-s`` pytest shows them only on failure).
    duplicate markets with 9..407 agents, 40 planted markets with
    9..399 agents and a planted market with 2,000 agents and 100
    segments, in under C2B_BOUND_S seconds; the reference returns the
-   planted allocation.  The reference itself matches brute-force
+   planted allocation, and the 2,000-agent market's draws match a
+   frozen digest.  The reference itself matches brute-force
    enumeration on criterion 2's markets.  Outside that time, the
    solve's trace certifies a blocking coalition (``blocking_coalition``,
    checked by ``check_certificate``) for each market's endowment
@@ -45,6 +46,7 @@ pass/fail lines (without ``-s`` pytest shows them only on failure).
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import math
 import time
@@ -80,6 +82,15 @@ from reference import (
 # Criterion 2b's timed loop took 3.09-3.54 s over seven fresh processes
 # on a 2-core VM (CPython 3.11); the bound is over 3x the slowest.
 C2B_BOUND_S = 12
+
+# sha256 over the planted 2000-agent market of criterion 2b: for each
+# agent in id order, ``repr((planted type, ranking head))``.  Its heads
+# take about 100k ``below`` draws across many buffer refills and
+# Fisher-Yates shuffles, so a change to the stream, its buffering or the
+# planted construction changes it.
+PLANTED_2000_SHA256 = (
+    "cdc8bc77acad81f376355425987dcf754852b3110fdd15cc2315f06e540b794c"
+)
 
 # Criterion 7's three calls took 2.28-2.69 s over seven fresh processes
 # on a 2-core VM (CPython 3.11); the bound is over 3x the slowest, for
@@ -222,7 +233,9 @@ def test_criterion_2b_reference_oracle():
             agents = 9 + 10 * k
             houses = agents // (1 + k % 3)
             markets.append(_planted_market(agents, houses, 1 + 7 * k % houses, k))
-        markets.append(_planted_market(2000, 1000, 100, 2))
+        m, planted = _planted_market(2000, 1000, 100, 2)
+        assert _planted_digest(m, planted) == PLANTED_2000_SHA256
+        markets.append((m, planted))
         start = time.perf_counter()
         found = 0
         solved = []
@@ -312,6 +325,13 @@ def _planted_market(*args):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.planted_market(*args)
+
+
+def _planted_digest(m, planted) -> str:
+    digest = hashlib.sha256()
+    for i, house in enumerate(planted):
+        digest.update(repr((house, m.prefs[i].head)).encode())
+    return digest.hexdigest()
 
 
 def test_criterion_7_planted_at_scale():

@@ -41,7 +41,7 @@ from houseswap import (
     solve_with_tiebreak,
     validate_market,
 )
-from houseswap.rng import SplitMix64
+from houseswap.rng import _GAMMA, SplitMix64
 from reference import (
     best_house,
     build_pointing_graph,
@@ -298,22 +298,27 @@ class TestSeededSteps:
 
     def test_draws_per_solve_are_near_linear(self, monkeypatch):
         # Drawing a live root takes house_count / live draws per step on
-        # average, about H * ln(H) over the chain's H steps.
-        draws = 0
+        # average, about H * ln(H) over the chain's H steps.  Each draw
+        # advances a stream's state by gamma, so a stream has made
+        # ``(state - seed) / gamma`` draws, the division taken mod 2**64.
+        built = []
 
-        class CountingSplitMix64(SplitMix64):
-            def next_u64(self):
-                nonlocal draws
-                draws += 1
-                return super().next_u64()
+        class RecordingSplitMix64(SplitMix64):
+            def __init__(self, seed):
+                super().__init__(seed)
+                built.append((self, seed))
 
-        monkeypatch.setattr(houseswap.htts, "SplitMix64", CountingSplitMix64)
+        monkeypatch.setattr(houseswap.htts, "SplitMix64", RecordingSplitMix64)
+        inverse_gamma = pow(_GAMMA, -1, 2**64)
         house_count = 300
         market = chain_market(house_count)
         expected = htts_solve(market)
         for tiebreak in range(8):
-            draws = 0
+            built.clear()
             out = solve_with_tiebreak(market, tiebreak)
+            draws = sum(
+                (rng.state - seed) * inverse_gamma % 2**64 for rng, seed in built
+            )
             assert out == expected
             # Every seeded step draws its root at least once, so a count
             # of zero means the draws went uncounted.

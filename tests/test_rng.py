@@ -102,6 +102,14 @@ class TestBufferedStream:
         [("next", 5), ("shuffle", 3), ("next", 700), ("below", 7),
          ("assign", 2**64 - 2), ("next", 300), ("shuffle", 600), ("next", 9)],
     )
+    # ``below`` alone: 160 draws cross two refills, the assignment lands
+    # with 32 draws pending, and 80 more cross one refill after it.
+    @example(
+        5,
+        [("below", n) for n in (1, 2, 600, 2**64)] * 40
+        + [("assign", 2**64 - 3)]
+        + [("below", n) for n in (1, 2, 600, 2**64)] * 20,
+    )
     @settings(max_examples=80, deadline=None)
     def test_matches_scalar_reference(self, seed, ops):
         rng, ref = SplitMix64(seed), ScalarSplitMix64(seed)
@@ -150,6 +158,8 @@ class TestDrawBlock:
     @example(7, 3)
     @example(7, 4)
     @example(7, 5)
+    @example(2**64 - 1, _FILL)  # a refill's run, from lane constants built once
+    @example(7, _FILL)
     @settings(max_examples=80, deadline=None)
     def test_equals_successive_next_u64(self, seed, count):
         rng = ScalarSplitMix64(seed)
