@@ -30,9 +30,10 @@ unique strict-core allocation.
 Each agent carries a cursor over their preference list that only ever
 advances past removed house types, so recomputing favorites costs
 amortized O(house_count) per agent across the whole solve.  A step's
-Tarjan search keeps state only for the types it reaches, so it costs the
-rows it reaches, at most every remaining owner once, and adds that work
-to the solve's one ``SccStats``.  Total work stays within
+Tarjan search keeps state only for the types it reaches and stops at its
+first component, so it costs the rows it reaches, at most every
+remaining owner once, and returns its vertex and arc counts with the
+component.  Total work stays within
 O(house_count**2 + house_count * agent_count); in practice a step reads
 only the path from its root to the first sink.  A seeded solve makes
 house_count / live draws per step on average, O(house_count *
@@ -49,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .digraph import SccStats, scc_components
+from .digraph import scc_components
 from .market import AgentId, Allocation, BlockingCertificate, HouseId, Market
 from .rng import SplitMix64
 
@@ -88,8 +89,8 @@ class OpCounter:
     remaining owner once per step, whether or not Tarjan reads the row
     holding its pointer (rows are built on demand, so this is not the
     number of pointers actually computed).  ``scc_work`` counts vertices
-    visited plus arcs scanned by every step's Tarjan search, added once
-    from the solve's one ``SccStats``.  ``feasibility_comparisons``
+    visited plus arcs scanned by every step's Tarjan search, as each
+    search returns them.  ``feasibility_comparisons``
     counts per-type checks plus per-owner demand tallies.  All three are
     deterministic for a given market and tie-break seed, unlike wall
     time.
@@ -171,7 +172,6 @@ def _solve(
     live_houses = house_count
     live_owners = market.agent_count
     trace: list[Segment] = []
-    stats = SccStats()
     feasible = True
 
     while live_houses and feasible:
@@ -179,19 +179,16 @@ def _solve(
         # or not Tarjan reads its row.
         counter.arcs_built += live_owners
 
-        # Tarjan's first component lies in its first root's search tree,
-        # so one root per step is all the tie-break has to choose.
         if tiebreak_rng is None:
             root = alive.index(1)
         else:
             root = tiebreak_rng.below(house_count)
             while not alive[root]:
                 root = tiebreak_rng.below(house_count)
-        gen = scc_components(successors, (root,), stats)
-        try:
-            component = next(gen)
-        finally:
-            gen.close()
+        # Unpacked, never indexed: perfbench's tracer wraps this call in a
+        # generator.
+        component, visited, scanned = scc_components(successors, root)
+        counter.scc_work += visited + scanned
 
         seg_houses = sorted(component)
         seg_owners: list[AgentId] = []
@@ -222,7 +219,6 @@ def _solve(
         live_houses -= len(seg_houses)
         live_owners -= len(seg_owners)
 
-    counter.scc_work += stats.vertices_visited + stats.arcs_scanned
     if feasible:
         return SolveOutcome(Allocation(tuple(targets)), tuple(trace), None)
     return SolveOutcome(None, tuple(trace), len(trace))

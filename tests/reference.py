@@ -10,10 +10,13 @@ every solver segment against them.  ``rebuild_solve`` is the whole solve
 with every step's graph built in full, as ``_solve`` once did; the
 solver must match it segment for segment and count for count.
 
-``tarjan_scc`` drives ``houseswap.digraph.scc_components``; its
+``textbook_tarjan`` is Tarjan's algorithm as published, recursive and
+run to completion.  ``tarjan_scc`` takes the full partition from it, and
+``rebuild_solve`` each step's first component (``textbook_first``), so
+neither leans on the solver's search in ``houseswap.digraph``.  Its
 partition is cross-checked against a transitive-closure oracle in
-``test_digraph.py``, and the search itself, step by step, against
-``textbook_tarjan``, so the two do not vouch for each other unchecked.
+``test_digraph.py``, and the solver's one-root search, step by step,
+against ``textbook_first``.
 
 ``check_trace`` replays a solve's removals with per-agent cursors and
 checks each segment in time linear in the market's size plus the rank
@@ -46,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from houseswap.digraph import SccStats, scc_components
 from houseswap.htts import OpCounter, Segment, SolveOutcome
 from houseswap.market import (
     AgentId,
@@ -93,10 +95,20 @@ class SccPartition:
     component_of: tuple[int, ...]
 
 
+class TraversalCounts:
+    """Mutable traversal counters (vertices visited, arcs scanned)."""
+
+    __slots__ = ("vertices_visited", "arcs_scanned")
+
+    def __init__(self) -> None:
+        self.vertices_visited = 0
+        self.arcs_scanned = 0
+
+
 def tarjan_scc(
     g: Digraph,
     start_order: Sequence[int] | None = None,
-    stats: SccStats | None = None,
+    stats: TraversalCounts | None = None,
 ) -> SccPartition:
     """Full SCC partition of ``g`` in Tarjan emission order; depth-first
     searches start from ``start_order``, default every vertex ascending."""
@@ -104,7 +116,7 @@ def tarjan_scc(
     component_of = [-1] * g.vertex_count
     if start_order is None:
         start_order = range(g.vertex_count)
-    for component in scc_components(g.adj.__getitem__, start_order, stats):
+    for component in textbook_tarjan(g.adj.__getitem__, start_order, stats):
         idx = len(components)
         for v in component:
             component_of[v] = idx
@@ -115,16 +127,17 @@ def tarjan_scc(
 def textbook_tarjan(
     successors: Callable[[int], Sequence[int]],
     roots: Iterable[int],
-    stats: SccStats | None = None,
+    stats: TraversalCounts | None = None,
 ) -> Iterator[list[int]]:
     """Tarjan's algorithm as published (SIAM J. Comput. 1972): recursive,
     with an index map, a low-link map and an on-stack set.
 
-    Same protocol as ``scc_components``: a generator of components in
-    emission order, each in stack-pop order, that reads ``successors(v)``
-    once when it first reaches ``v`` and flushes its counts into ``stats``
-    when closed.  Recursion depth is the depth of the search, so it is
-    for small graphs only.
+    A generator of the components reachable from ``roots`` in emission
+    order, each in stack-pop order.  It reads ``successors(v)`` once when
+    it first reaches ``v`` and flushes its counts into ``stats`` when
+    closed, so closing it after the first component counts what the
+    solver's search counts.  Recursion depth is the depth of the search,
+    so it is for small graphs only.
     """
     index: dict[int, int] = {}
     low: dict[int, int] = {}
@@ -162,6 +175,21 @@ def textbook_tarjan(
         if stats is not None:
             stats.vertices_visited += len(index)
             stats.arcs_scanned += scanned
+
+
+def textbook_first(
+    successors: Callable[[int], Sequence[int]], root: int
+) -> tuple[list[int], int, int]:
+    """``textbook_tarjan`` from ``root``, closed after its first
+    component: ``(component, vertices_visited, arcs_scanned)`` with the
+    component in stack-pop order."""
+    stats = TraversalCounts()
+    gen = textbook_tarjan(successors, [root], stats)
+    try:
+        component = next(gen)
+    finally:
+        gen.close()
+    return component, stats.vertices_visited, stats.arcs_scanned
 
 
 def condensation(g: Digraph, partition: SccPartition | None = None) -> Digraph:
@@ -308,21 +336,15 @@ def rebuild_solve(
         counter.arcs_built += emitted
 
         if tiebreak_rng is None:
-            order = range(len(remaining))
+            root = remaining[0]
         else:
             # The seeded tie-break draws one live type uniformly and
             # searches from its position alone.
             root = tiebreak_rng.below(house_count)
             while not alive[root]:
                 root = tiebreak_rng.below(house_count)
-            order = [pos[root]]
-        stats = SccStats()
-        gen = scc_components(adj.__getitem__, order, stats)
-        try:
-            component = next(gen)
-        finally:
-            gen.close()
-        counter.scc_work += stats.vertices_visited + stats.arcs_scanned
+        component, visited, scanned = textbook_first(adj.__getitem__, pos[root])
+        counter.scc_work += visited + scanned
 
         seg_houses = sorted(remaining[k] for k in component)
         seg_set = set(seg_houses)

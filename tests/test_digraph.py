@@ -1,26 +1,33 @@
-"""Tests for strongly connected components and the condensation.
+"""Tests for the solver's sink search, the reference partition and the
+condensation.
 
-The partition is cross-checked against an oracle that computes SCCs by
+The reference partition (``tarjan_scc``, on the recursive textbook
+Tarjan) is cross-checked against an oracle that computes SCCs by
 definition: boolean transitive closure, then equivalence classes of
-mutual reachability.  The emission-order and sink properties are what
-the solver actually relies on, so they get their own checks: the
-sink-SCC cases drive ``scc_components`` exactly the way the solver
-does.  ``TestMatchesTextbookTarjan`` checks the iterative search step by
-step against a recursive textbook Tarjan: the components it emits, the
-order it reads successors in, and its counts.
+mutual reachability.  The solver's search, ``scc_components``, returns
+the first component Tarjan emits from one root; the sink, closure and
+reach properties the solver relies on get their own checks, and
+``TestMatchesTextbookTarjan`` checks the search step by step against the
+textbook Tarjan run up to its first component: the component, the order
+it reads successors in, and its counts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from houseswap.digraph import SccStats, scc_components
-from reference import Digraph, condensation, tarjan_scc, textbook_tarjan
+from houseswap.digraph import scc_components
+from reference import (
+    Digraph,
+    TraversalCounts,
+    condensation,
+    tarjan_scc,
+    textbook_first,
+)
 
 
 def closure_scc_oracle(g: Digraph) -> set[frozenset[int]]:
@@ -46,18 +53,9 @@ def closure_scc_oracle(g: Digraph) -> set[frozenset[int]]:
     return {frozenset(c) for c in classes.values()}
 
 
-def first_sink_scc(
-    g: Digraph, start_order=None, stats: SccStats | None = None
-) -> tuple[int, ...]:
-    """First SCC Tarjan emits, taken as the solver takes it: one
-    ``next()`` on ``scc_components``, then ``close()``."""
-    if start_order is None:
-        start_order = range(g.vertex_count)
-    gen = scc_components(g.adj.__getitem__, start_order, stats)
-    try:
-        component = next(gen)
-    finally:
-        gen.close()
+def first_sink_scc(g: Digraph, root: int = 0) -> tuple[int, ...]:
+    """The component ``scc_components`` returns from ``root``, sorted."""
+    component, _, _ = scc_components(g.adj.__getitem__, root)
     return tuple(sorted(component))
 
 
@@ -163,19 +161,19 @@ class TestTarjan:
 
     def test_stats_count_traversal(self):
         g = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
-        stats = SccStats()
-        tarjan_scc(g, stats=stats)
-        assert stats.vertices_visited == 3
-        assert stats.arcs_scanned == 3
+        assert scc_components(g.adj.__getitem__, 0) == ([0, 1, 2], 3, 3)
 
+    # 10**5-vertex searches: a recursive DFS would exceed the call stack.
     def test_deep_path_is_stack_safe(self):
-        # 150k-vertex path: a recursive DFS would exceed the call stack.
-        n = 150_000
+        n = 10**5
         adj = [(v + 1,) for v in range(n - 1)]
         adj.append(())
-        components = list(scc_components(adj.__getitem__, range(n)))
-        assert len(components) == n
-        assert components[0] == [n - 1]
+        assert scc_components(adj.__getitem__, 0) == ([n - 1], n, n - 1)
+
+    def test_deep_cycle_is_stack_safe(self):
+        n = 10**5
+        adj = [((v + 1) % n,) for v in range(n)]
+        assert scc_components(adj.__getitem__, 0) == (list(range(n)), n, n)
 
 
 class TestFirstSinkScc:
@@ -193,28 +191,29 @@ class TestFirstSinkScc:
     def test_sink_property_on_random_graphs(self, n, data):
         arc_bits = data.draw(st.integers(0, 2 ** (n * n) - 1))
         g = random_digraph(0, n, arc_bits)
-        sink = set(first_sink_scc(g))
-        for u, v in g.arcs():
-            if u in sink:
-                assert v in sink
+        components = {frozenset(c) for c in tarjan_scc(g).components}
+        for root in range(n):
+            sink = set(first_sink_scc(g, root))
+            assert sink in components
+            for u, v in g.arcs():
+                if u in sink:
+                    assert v in sink
 
     def test_start_order_picks_among_sinks(self):
+        # The root picks the sink when several exist.
         g = Digraph.from_arcs(2, [])
-        assert first_sink_scc(g, [0, 1]) == (0,)
-        assert first_sink_scc(g, [1, 0]) == (1,)
+        assert first_sink_scc(g, 0) == (0,)
+        assert first_sink_scc(g, 1) == (1,)
+        g = Digraph.from_arcs(
+            5, [(0, 1), (1, 2), (2, 1), (0, 3), (3, 4), (4, 3)]
+        )
+        assert first_sink_scc(g, 0) == (1, 2)
+        assert first_sink_scc(g, 3) == (3, 4)
+        assert first_sink_scc(g, 4) == (3, 4)
 
     def test_early_termination_skips_unreached_vertices(self):
         g = Digraph.from_arcs(3, [(0, 1), (1, 2)])
-        stats = SccStats()
-        assert first_sink_scc(g, [2, 0, 1], stats) == (2,)
-        assert stats.vertices_visited == 1
-
-    def test_empty_graph_raises(self):
-        # No vertices, no component: the search emits nothing, so there
-        # is no first sink to take.
-        assert list(scc_components([].__getitem__, range(0))) == []
-        with pytest.raises(StopIteration):
-            first_sink_scc(Digraph.from_arcs(0, []))
+        assert scc_components(g.adj.__getitem__, 2) == ([2], 1, 0)
 
 
 class TestSuccessorsReadOnce:
@@ -226,7 +225,7 @@ class TestSuccessorsReadOnce:
         g = random_digraph(0, n, arc_bits)
         reached = reachable(g, roots)
         counted, reads = counting(g)
-        stats = SccStats()
+        stats = TraversalCounts()
         tarjan_scc(counted, roots, stats)
         assert set(reads) == reached
         assert all(k == 1 for k in reads.values())
@@ -236,61 +235,58 @@ class TestSuccessorsReadOnce:
     @settings(max_examples=120)
     def test_first_sink(self, n, data):
         arc_bits = data.draw(st.integers(0, 2 ** (n * n) - 1))
-        roots = data.draw(st.permutations(range(n)))
+        root = data.draw(st.integers(0, n - 1))
         g = random_digraph(0, n, arc_bits)
         counted, reads = counting(g)
-        stats = SccStats()
-        sink = first_sink_scc(counted, roots, stats)
-        # The search stops inside the first root's reach, having read
-        # every vertex of the sink it emits.
-        assert set(sink) <= set(reads) <= reachable(g, roots[:1])
+        component, visited, _ = scc_components(counted.adj.__getitem__, root)
+        # The search stays inside the root's reach, having read every
+        # vertex of the sink it returns.
+        assert set(component) <= set(reads) <= reachable(g, [root])
         assert all(k == 1 for k in reads.values())
-        assert sum(reads.values()) == stats.vertices_visited
+        assert sum(reads.values()) == visited
 
 
-def traced_search(search, g: Digraph, roots, first_only: bool):
-    """Run ``search`` (``scc_components`` or ``textbook_tarjan``) on
-    ``g``, in full or up to its first component as the solver does;
-    returns the components, the ``successors`` calls in order and the
-    two ``SccStats`` counts."""
+def traced_search(search, g: Digraph, root: int):
+    """Run ``search`` (``scc_components`` or ``textbook_first``) on ``g``
+    from ``root``; returns its result and the ``successors`` calls in
+    order."""
     calls: list[int] = []
 
     def successors(v):
         calls.append(v)
         return g.adj[v]
 
-    stats = SccStats()
-    gen = search(successors, roots, stats)
-    try:
-        components = list(islice(gen, 1 if first_only else None))
-    finally:
-        gen.close()
-    return components, calls, (stats.vertices_visited, stats.arcs_scanned)
+    return search(successors, root), calls
 
 
 @st.composite
-def graphs_and_roots(draw):
+def graphs_and_root(draw):
     n = draw(st.integers(1, 12))
     vertex = st.integers(0, n - 1)
     arcs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
-    roots = draw(st.lists(vertex, max_size=2 * n))
-    return Digraph.from_arcs(n, arcs), roots
+    return Digraph.from_arcs(n, arcs), draw(vertex)
 
 
 class TestMatchesTextbookTarjan:
-    @given(graphs_and_roots(), st.booleans())
+    @given(graphs_and_root())
     @settings(max_examples=300)
-    def test_same_search(self, graph_and_roots, first_only):
-        g, roots = graph_and_roots
-        assert traced_search(
-            scc_components, g, roots, first_only
-        ) == traced_search(textbook_tarjan, g, roots, first_only)
+    def test_same_search(self, graph_and_root):
+        # The same reads in the same order and the same counts; the
+        # component comes in discovery order, the reverse of the pops.
+        g, root = graph_and_root
+        (component, *counts), calls = traced_search(scc_components, g, root)
+        (first, *textbook_counts), textbook_calls = traced_search(
+            textbook_first, g, root
+        )
+        assert component == first[::-1]
+        assert calls == textbook_calls
+        assert counts == textbook_counts
 
     def test_worked_shape(self):
         g = Digraph.from_arcs(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)])
-        expected = ([[3, 2], [1, 0]], [0, 1, 2, 3], (4, 5))
-        assert traced_search(scc_components, g, [0], False) == expected
-        assert traced_search(textbook_tarjan, g, [0], False) == expected
+        calls = [0, 1, 2, 3]
+        assert traced_search(scc_components, g, 0) == (([2, 3], 4, 5), calls)
+        assert traced_search(textbook_first, g, 0) == (([3, 2], 4, 5), calls)
 
 
 class TestCondensation:

@@ -296,34 +296,57 @@ class TestSeededSteps:
                     out = solve_with_tiebreak(market, tiebreak)
                     assert_steps_from_scratch(market, out)
 
-    def test_draws_per_solve_are_near_linear(self, monkeypatch):
+    def test_draws_per_solve_are_near_linear(self, seeded_solve_draws):
         # Drawing a live root takes house_count / live draws per step on
-        # average, about H * ln(H) over the chain's H steps.  Each draw
-        # advances a stream's state by gamma, so a stream has made
-        # ``(state - seed) / gamma`` draws, the division taken mod 2**64.
-        built = []
-
-        class RecordingSplitMix64(SplitMix64):
-            def __init__(self, seed):
-                super().__init__(seed)
-                built.append((self, seed))
-
-        monkeypatch.setattr(houseswap.htts, "SplitMix64", RecordingSplitMix64)
-        inverse_gamma = pow(_GAMMA, -1, 2**64)
+        # average, about H * ln(H) over the chain's H steps.
         house_count = 300
         market = chain_market(house_count)
         expected = htts_solve(market)
         for tiebreak in range(8):
-            built.clear()
-            out = solve_with_tiebreak(market, tiebreak)
-            draws = sum(
-                (rng.state - seed) * inverse_gamma % 2**64 for rng, seed in built
-            )
+            out, draws = seeded_solve_draws(market, tiebreak)
             assert out == expected
             # Every seeded step draws its root at least once, so a count
             # of zero means the draws went uncounted.
             assert len(out.trace) <= draws
             assert draws <= 4 * house_count * math.log(house_count)
+
+    def test_draws_per_solve_are_pinned(self, seeded_solve_draws):
+        # One draw per step plus one per removed type drawn.  The bound
+        # above is 3-4 times these counts, so it would pass a solver that
+        # drew three extra roots at every step; exact counts do not.
+        market = chain_market(300)
+        assert [seeded_solve_draws(market, t)[1] for t in range(8)] == [
+            1823, 2146, 2203, 1984, 1539, 2025, 2264, 2276,
+        ]
+
+
+@pytest.fixture
+def seeded_solve_draws(monkeypatch):
+    """``solve(market, tiebreak)``: ``solve_with_tiebreak``'s outcome and
+    the number of draws it made from the streams it built.
+
+    Each draw advances a stream's state by gamma, so a stream has made
+    ``(state - seed) / gamma`` draws, the division taken mod 2**64.
+    """
+    built = []
+
+    class RecordingSplitMix64(SplitMix64):
+        def __init__(self, seed):
+            super().__init__(seed)
+            built.append((self, seed))
+
+    monkeypatch.setattr(houseswap.htts, "SplitMix64", RecordingSplitMix64)
+    inverse_gamma = pow(_GAMMA, -1, 2**64)
+
+    def solve(market, tiebreak):
+        built.clear()
+        out = solve_with_tiebreak(market, tiebreak)
+        draws = sum(
+            (rng.state - seed) * inverse_gamma % 2**64 for rng, seed in built
+        )
+        return out, draws
+
+    return solve
 
 
 def assert_matches_rebuild(market, tiebreak_seed):
