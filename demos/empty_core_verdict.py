@@ -9,12 +9,12 @@ a supply/demand mismatch inside the very first trading segment.
 """
 
 from houseswap import (
+    blocking_coalition,
     enumerate_feasible_allocations,
     format_segment,
     htts_solve,
     validate_market,
 )
-from houseswap.oracle import find_blocking_coalition
 
 # Each agent row is (name, endowment, ranking from best to worst).
 market = validate_market(
@@ -37,13 +37,15 @@ print()
 # line above shows feasible=false for exactly that reason.
 
 # To see that the verdict is right, walk every feasible allocation and
-# exhibit a coalition that blocks it.  There are only three.
+# exhibit a coalition that blocks it.  There are only three.  The solve's
+# trace names each one: owners in the failing segment who trade their own
+# endowments so that each gets their favorite.
 for mu in enumerate_feasible_allocations(market):
     names = ", ".join(
         f"{market.agent_name(i)}->{market.house_name(mu[i])}"
         for i in range(market.agent_count)
     )
-    certificate = find_blocking_coalition(market, mu)
+    certificate = blocking_coalition(market, outcome, mu)
     coalition = "{" + ",".join(
         market.agent_name(i) for i in certificate.coalition
     ) + "}"

@@ -155,8 +155,9 @@ def _solve(
     def successors(h: HouseId) -> list[HouseId]:
         # Point each owner of h at its favorite remaining type, advancing
         # its cursor past removed ones; the distinct targets, ascending,
-        # are h's row in this step's graph.
-        outs = set()
+        # are h's row in this step's graph.  A single owner's row (every
+        # row of an injective market) is already that, with no set.
+        outs = []
         for i in owners_by_house[h]:
             c = cursors[i]
             p = prefs[i]
@@ -166,8 +167,8 @@ def _solve(
                 t = p[c]
             cursors[i] = c
             targets[i] = t
-            outs.add(t)
-        return sorted(outs)
+            outs.append(t)
+        return sorted(set(outs)) if len(outs) > 1 else outs
 
     live_houses = house_count
     live_owners = market.agent_count

@@ -149,19 +149,6 @@ def enumerate_feasible_allocations(market: Market) -> Iterator[Allocation]:
     return generate()
 
 
-def find_blocking_coalition(
-    market: Market, mu: Allocation
-) -> BlockingCertificate | None:
-    """Search for a coalition that weakly blocks ``mu``.
-
-    Coalitions are tried in ascending size (then bitmask) order, so the
-    certificate returned is the first in that deterministic order;
-    ``None`` means ``mu`` is in the strict core.
-    """
-    _check_cap(market, DEFAULT_CAP)
-    return _BlockSearch(market).find(mu.assignment)
-
-
 def enumerate_strict_core(market: Market) -> list[Allocation]:
     """All strict-core allocations, by definition.
 

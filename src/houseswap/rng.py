@@ -17,7 +17,8 @@ serves its one-at-a-time draws from such runs too, ``_FILL`` at a time.
 ``ShuffledRange`` produces exactly the permutation the eager shuffle
 would, but materializes elements on demand, so a market whose preference
 lists are only ever read up to some prefix never pays for the full lists.
-It has two states: a sparse prefix, then the whole shuffle.
+It has two states: a sparse prefix, then the whole shuffle.  A sparse
+read, iteration's extensions included, runs its steps in ``__getitem__``.
 """
 
 from __future__ import annotations
@@ -187,25 +188,26 @@ def fisher_yates(items: list, rng: SplitMix64) -> list:
 class ShuffledRange(Sequence):
     """Lazy uniform permutation of ``range(n)``.
 
-    Element ``k`` is computed on first access by running the Fisher-Yates
-    shuffle forward to position ``k`` on the stream state ``_state`` (the
-    reduced seed at first).  An extension that covers less than
-    ``1/_DENSE_SHARE`` of the pending positions runs the sparse loop, with
-    the splitmix64 step fused in and the pending swaps in the dict
-    ``_ahead``, so memory stays proportional to the materialized prefix.
-    The first extension that covers at least that share completes the
-    shuffle: the pending positions go into one list, shuffled with block
-    draws and appended to ``_done`` (``_ahead`` becomes ``None``).
-    Iteration yields the materialized prefix and, on running out at
-    position ``k``, extends it to ``2k``: a caller that stops after ``p``
-    elements (``in``, ``index``, ``next(...)`` over a filter) has
-    materialized at most ``2p + 1``, or all ``n`` once that extension
-    reaches ``1/_DENSE_SHARE`` of the pending positions.  A caller that
-    reads every element should read position ``n - 1`` first: that
-    completes the shuffle at once, where iteration's doubling would first
-    run the sparse loop over about ``n / _DENSE_SHARE`` positions.  Two
-    instances compare equal iff they have the same ``(n, seed)``, which
-    implies the same full sequence.
+    Element ``k`` is computed on first access: ``self[k]`` runs the
+    Fisher-Yates shuffle forward to position ``k`` on the stream state
+    ``_state`` (the reduced seed at first).  An extension that covers less
+    than ``1/_DENSE_SHARE`` of the pending positions runs the sparse loop
+    in that same call, with the splitmix64 step fused in and the pending
+    swaps in the dict ``_ahead``, so memory stays proportional to the
+    materialized prefix.  The first extension that covers at least that
+    share completes the shuffle: the pending positions go into one list,
+    shuffled with block draws and appended to ``_done`` (``_ahead``
+    becomes ``None``).  Iteration yields the materialized prefix and, on
+    running out at position ``k``, extends it to ``2k`` by reading
+    ``self[2k]``: a caller that stops after ``p`` elements (``in``,
+    ``index``, ``next(...)`` over a filter) has materialized at most
+    ``2p + 1``, or all ``n`` once that extension reaches
+    ``1/_DENSE_SHARE`` of the pending positions.  A caller that reads
+    every element should read position ``n - 1`` first: that completes
+    the shuffle at once, where iteration's doubling would first run the
+    sparse loop over about ``n / _DENSE_SHARE`` positions.  Two instances
+    compare equal iff they have the same ``(n, seed)``, which implies the
+    same full sequence.
     """
 
     __slots__ = ("n", "seed", "_state", "_done", "_ahead")
@@ -215,35 +217,6 @@ class ShuffledRange(Sequence):
         self.seed = self._state = seed & _MASK64
         self._done: list[int] = []
         self._ahead: dict[int, int] | None = {}
-
-    def _extend_to(self, k: int) -> None:
-        done = self._done
-        ahead = self._ahead
-        n = self.n
-        i = len(done)
-        if (k + 1 - i) * _DENSE_SHARE >= n - i:
-            self._extend_dense()
-            return
-        # ``SplitMix64.next_u64`` and ``below`` inlined: the stream state
-        # stays in a local and is stored back once, after the loop.  These
-        # runs are mostly one draw long, and a one-draw ``_draw_block``
-        # call takes about 3.4 us against 0.8 us for the inline step
-        # (CPython 3.11, x86-64).  The test above keeps this loop short of
-        # position n - 1.
-        state = self._state
-        while i <= k:
-            state = (state + _GAMMA) & _MASK64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            j = i + (((z ^ (z >> 31)) * (n - i)) >> 64)
-            val_i = ahead.pop(i, i)
-            if j == i:
-                done.append(val_i)
-            else:
-                done.append(ahead.pop(j, j))
-                ahead[j] = val_i
-            i += 1
-        self._state = state
 
     def _extend_dense(self) -> None:
         """Complete the shuffle in one block-drawn pass."""
@@ -266,7 +239,7 @@ class ShuffledRange(Sequence):
         k = 0
         while k < n:
             if k == len(done):
-                self._extend_to(min(n - 1, 2 * k))
+                self[min(n - 1, 2 * k)]  # extends ``done``
             m = len(done)
             yield from islice(it, m - k)
             k = m
@@ -277,13 +250,40 @@ class ShuffledRange(Sequence):
     def __getitem__(self, k: int) -> int:
         if isinstance(k, slice):
             raise TypeError("slicing not supported")
+        n = self.n
         if k < 0:
-            k += self.n
-        if not 0 <= k < self.n:
+            k += n
+        if not 0 <= k < n:
             raise IndexError(k)
-        if k >= len(self._done):
-            self._extend_to(k)
-        return self._done[k]
+        done = self._done
+        i = len(done)
+        if k < i:
+            return done[k]
+        if (k + 1 - i) * _DENSE_SHARE >= n - i:
+            self._extend_dense()
+            return done[k]
+        # The sparse step runs here rather than in a helper, so a miss is
+        # one call; most misses extend by one element.  ``SplitMix64``'s
+        # step is inlined too: the stream state stays in a local, stored
+        # back once.  A one-draw ``_draw_block`` call takes about 3.4 us
+        # against 0.8 us for the inline step (CPython 3.11, x86-64).  The
+        # test above keeps this loop short of position n - 1.
+        ahead = self._ahead
+        state = self._state
+        while i <= k:
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            j = i + (((z ^ (z >> 31)) * (n - i)) >> 64)
+            val_i = ahead.pop(i, i)
+            if j == i:
+                done.append(val_i)
+            else:
+                done.append(ahead.pop(j, j))
+                ahead[j] = val_i
+            i += 1
+        self._state = state
+        return done[k]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ShuffledRange):

@@ -23,6 +23,10 @@ checks each segment in time linear in the market's size plus the rank
 positions read, so it can run on every segment of solves far too large
 for the from-scratch helpers above.
 
+``find_blocking_coalition`` runs the brute-force blocking search of
+``houseswap.oracle`` on one allocation, the reference that
+``test_oracle.py`` checks against a naive enumeration.
+
 ``check_certificate`` checks a blocking coalition against the
 definition of blocking, reading only the market, so it can judge the
 certificates of ``houseswap.htts.blocking_coalition`` and of the brute
@@ -57,6 +61,7 @@ from houseswap.market import (
     HouseId,
     Market,
 )
+from houseswap.oracle import DEFAULT_CAP, _BlockSearch, _check_cap
 from houseswap.rng import SplitMix64
 
 
@@ -456,6 +461,21 @@ def check_trace(market: Market, outcome: SolveOutcome) -> None:
     else:
         assert outcome.trace and not outcome.trace[-1].feasible
         assert outcome.failed_step == len(outcome.trace)
+
+
+def find_blocking_coalition(
+    market: Market, mu: Allocation
+) -> BlockingCertificate | None:
+    """Search for a coalition that weakly blocks ``mu`` by brute force,
+    with ``houseswap.oracle``'s search behind ``enumerate_strict_core``.
+
+    Coalitions are tried in ascending size (then bitmask) order, so the
+    certificate returned is the first in that deterministic order;
+    ``None`` means ``mu`` is in the strict core.  Capped at
+    ``DEFAULT_CAP`` agents like the rest of the brute force.
+    """
+    _check_cap(market, DEFAULT_CAP)
+    return _BlockSearch(market).find(mu.assignment)
 
 
 def check_certificate(

@@ -406,25 +406,24 @@ class TestSerializeLazyRankings:
         m = random_market(LAZY_PARAMS)
         before(m)
         assert all((len(p._done) < p.n) == bool(extensions) for p in m.prefs)
-        calls = {"_extend_to": 0, "_extend_dense": 0}
+        left = [
+            (id(p), p._state, len(p._done))
+            for p in m.prefs
+            if p._ahead is not None
+        ]
+        dense = []
+        original = ShuffledRange._extend_dense
 
-        def count(name):
-            original = getattr(ShuffledRange, name)
+        def counted(self):
+            dense.append((id(self), self._state, len(self._done)))
+            return original(self)
 
-            def counted(self, *args):
-                calls[name] += 1
-                return original(self, *args)
-
-            monkeypatch.setattr(ShuffledRange, name, counted)
-
-        count("_extend_to")
-        count("_extend_dense")
+        monkeypatch.setattr(ShuffledRange, "_extend_dense", counted)
         text = serialize_market(m)
-        # Every ``_extend_to`` call went dense, so no sparse step ran.
-        assert calls == {
-            "_extend_to": extensions * m.agent_count,
-            "_extend_dense": extensions * m.agent_count,
-        }
+        # One dense completion per unfinished ranking, from the stream
+        # state and prefix ``before`` left: no sparse step ran first.
+        assert len(dense) == extensions * m.agent_count
+        assert sorted(dense) == sorted(left)
         assert all(len(p._done) == p.n and p._ahead is None for p in m.prefs)
         assert text == eager_text
 

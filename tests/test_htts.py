@@ -474,6 +474,25 @@ class TestOpCounter:
         assert a == b
 
 
+class TestLazyRankingReads:
+    @pytest.mark.parametrize(
+        "seed, floor", [(1, 15_895), (2, 14_557), (3, 12_320)]
+    )
+    def test_core_found_solve_draws_the_cursor_floor(self, seed, floor):
+        # Each cursor stops at its agent's assigned type, so a solve that
+        # finds the core draws each ranking exactly up to that type: no
+        # element ahead of it and no dense completion.
+        market = random_market(GenParams(2000, 2000, seed))
+        out = htts_solve(market)
+        assert out.core_found
+        mu = out.allocation.assignment
+        assert all(p._ahead is not None for p in market.prefs)
+        assert sum(len(p._done) for p in market.prefs) == floor
+        assert sum(
+            p._done.index(mu[i]) + 1 for i, p in enumerate(market.prefs)
+        ) == floor
+
+
 class TestTraceRendering:
     def test_worked_trace_lines(self):
         m = worked_market()

@@ -33,8 +33,7 @@ from houseswap import (
     ttc_solve,
     validate_market,
 )
-from houseswap.oracle import find_blocking_coalition
-from reference import check_certificate
+from reference import check_certificate, find_blocking_coalition
 
 
 def naive_blocks(market, mu) -> bool:
