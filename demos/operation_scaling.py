@@ -2,11 +2,12 @@
 Measuring how the solver scales
 ===============================
 
-Wall time depends on the machine; operation counts do not.  The solver
-counts three kinds of work: every live owner once per step (the
-``arcs`` column, not the owner pointers actually computed, which are
-built on demand), vertices and arcs touched by the component search,
-and per-segment feasibility comparisons.  This script doubles the house
+Wall time depends on the machine; operation counts do not.
+``OpCounter.of`` reads three kinds of work from a solve's trace: every
+live owner once per step (the ``arcs`` column, not the owner pointers
+actually computed, which are built on demand), the vertices and arcs
+each step's component search touched, as its segment records them, and
+per-segment feasibility comparisons.  This script doubles the house
 count a few times and fits a log-log slope to the totals.
 """
 
@@ -21,10 +22,10 @@ print("H      I      wall_ms   arcs     scc      feas     total")
 points = []
 for houses in (1000, 2000, 4000, 8000, 16000):
     market = random_market(GenParams(2 * houses, houses, 0))
-    counter = OpCounter()
     start = time.perf_counter()
-    htts_solve(market, counter=counter)
+    outcome = htts_solve(market)
     wall_ms = (time.perf_counter() - start) * 1e3
+    counter = OpCounter.of(market, outcome)
     print(
         f"{houses:<6} {2 * houses:<6} {wall_ms:<9.2f} "
         f"{counter.arcs_built:<8} {counter.scc_work:<8} "

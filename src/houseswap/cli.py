@@ -39,20 +39,12 @@ def _read_market(path: str) -> Market:
     return load_market(read_text(path))
 
 
-def _stats_line(counter: OpCounter) -> str:
-    return (
-        f"arcs={counter.arcs_built} scc={counter.scc_work} "
-        f"feas={counter.feasibility_comparisons}"
-    )
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     market = _read_market(args.market)
-    counter = OpCounter()
     if args.tiebreak_seed is None:
-        outcome = htts_solve(market, counter=counter)
+        outcome = htts_solve(market)
     else:
-        outcome = solve_with_tiebreak(market, args.tiebreak_seed, counter=counter)
+        outcome = solve_with_tiebreak(market, args.tiebreak_seed)
     if outcome.core_found:
         sys.stdout.write(serialize_allocation(market, outcome.allocation))
     else:
@@ -60,7 +52,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.trace and outcome.trace:
         print(format_trace(market, outcome.trace), file=sys.stderr)
     if args.stats:
-        print(_stats_line(counter), file=sys.stderr)
+        c = OpCounter.of(market, outcome)
+        feas = c.feasibility_comparisons
+        print(f"arcs={c.arcs_built} scc={c.scc_work} feas={feas}", file=sys.stderr)
     return 0 if outcome.core_found else 2
 
 
@@ -134,10 +128,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         houses, agents = params.house_count, params.agent_count
         market = random_market(params)
         for _ in range(args.repeats):
-            counter = OpCounter()
             start = time.perf_counter_ns()
-            htts_solve(market, counter=counter)
+            outcome = htts_solve(market)
             wall = time.perf_counter_ns() - start
+            counter = OpCounter.of(market, outcome)
             rows.append(
                 f"{houses} {agents} {wall} {counter.arcs_built} "
                 f"{counter.scc_work} {counter.feasibility_comparisons}"

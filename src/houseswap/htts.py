@@ -33,21 +33,22 @@ amortized O(house_count) per agent across the whole solve.  A step's
 Tarjan search keeps state only for the types it reaches and stops at its
 first component, so it costs the rows it reaches, at most every
 remaining owner once, and returns its vertex and arc counts with the
-component.  Total work stays within
+component; each segment keeps them.  Total work stays within
 O(house_count**2 + house_count * agent_count); in practice a step reads
 only the path from its root to the first sink.  A seeded solve makes
 house_count / live draws per step on average, O(house_count *
 log(house_count)) over the whole solve.
 
-The strict core has at most one member, and a solve's trace names a
-coalition blocking any other feasible allocation: ``blocking_coalition``
-finds a trading cycle in the first segment where that allocation
-departs from the trace.
+The trace is the only record of a solve: ``OpCounter.of`` derives the
+operation counts from it.  The strict core has at most one member, and
+the trace names a coalition blocking any other feasible allocation:
+``blocking_coalition`` finds a trading cycle in the first segment where
+that allocation departs from the trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .digraph import scc_components
@@ -55,16 +56,19 @@ from .market import AgentId, Allocation, BlockingCertificate, HouseId, Market
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """One solver step: a sink SCC of house types, its owners, their
-    assignments, and whether supply met demand."""
+    assignments, whether supply met demand, and the vertices and arcs
+    the step's search touched, which equality ignores."""
 
     step: int
     houses: tuple[HouseId, ...]
     owners: tuple[AgentId, ...]
     assignment: Mapping[AgentId, HouseId]
     feasible: bool
+    visited: int = field(compare=False)
+    scanned: int = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -83,22 +87,33 @@ class SolveOutcome:
 
 @dataclass
 class OpCounter:
-    """Operation counts accumulated during a solve.
+    """Operation counts of a solve, derived from its trace by ``of``.
 
     ``arcs_built`` counts owner pointers in each step's graph: every
     remaining owner once per step, whether or not Tarjan reads the row
     holding its pointer (rows are built on demand, so this is not the
     number of pointers actually computed).  ``scc_work`` counts vertices
     visited plus arcs scanned by every step's Tarjan search, as each
-    search returns them.  ``feasibility_comparisons``
-    counts per-type checks plus per-owner demand tallies.  All three are
-    deterministic for a given market and tie-break seed, unlike wall
-    time.
+    segment records them.  ``feasibility_comparisons`` counts per-type
+    checks plus per-owner demand tallies.  All three are deterministic
+    for a given market and tie-break seed, unlike wall time.
     """
 
     arcs_built: int = 0
     scc_work: int = 0
     feasibility_comparisons: int = 0
+
+    @classmethod
+    def of(cls, market: Market, outcome: SolveOutcome) -> OpCounter:
+        """The counts of ``outcome``, a solve of ``market``."""
+        counts = cls()
+        live_owners = market.agent_count
+        for seg in outcome.trace:
+            counts.arcs_built += live_owners
+            counts.scc_work += seg.visited + seg.scanned
+            counts.feasibility_comparisons += len(seg.houses) + len(seg.owners)
+            live_owners -= len(seg.owners)
+        return counts
 
     def total(self) -> int:
         return self.arcs_built + self.scc_work + self.feasibility_comparisons
@@ -112,15 +127,16 @@ def htts_solve(market: Market, *, counter: OpCounter | None = None) -> SolveOutc
     strict-core allocation or an EmptyCore verdict; the trace records
     every segment examined, including a final infeasible one.
     """
-    return _solve(market, None, counter)
+    outcome = _solve(market, None)
+    if counter is not None:
+        # Kept, accumulating, for perfbench/ only; the benchmark rework
+        # (ROADMAP direction 5) moves it to OpCounter.of and deletes it.
+        for name, value in vars(OpCounter.of(market, outcome)).items():
+            setattr(counter, name, getattr(counter, name) + value)
+    return outcome
 
 
-def solve_with_tiebreak(
-    market: Market,
-    tiebreak_seed: int,
-    *,
-    counter: OpCounter | None = None,
-) -> SolveOutcome:
+def solve_with_tiebreak(market: Market, tiebreak_seed: int) -> SolveOutcome:
     """Solve with a seeded choice of each step's root type.
 
     Each step searches from a live house type drawn uniformly from a
@@ -133,16 +149,10 @@ def solve_with_tiebreak(
     """
     if not 0 <= tiebreak_seed < 1 << 64:
         raise ValueError("tiebreak_seed must be in [0, 2**64)")
-    return _solve(market, SplitMix64(tiebreak_seed), counter)
+    return _solve(market, SplitMix64(tiebreak_seed))
 
 
-def _solve(
-    market: Market,
-    tiebreak_rng: SplitMix64 | None,
-    counter: OpCounter | None,
-) -> SolveOutcome:
-    if counter is None:
-        counter = OpCounter()
+def _solve(market: Market, tiebreak_rng: SplitMix64 | None) -> SolveOutcome:
     house_count = market.house_count
     prefs = market.prefs
     owners_by_house = market.owners_by_house
@@ -171,15 +181,10 @@ def _solve(
         return sorted(set(outs)) if len(outs) > 1 else outs
 
     live_houses = house_count
-    live_owners = market.agent_count
     trace: list[Segment] = []
     feasible = True
 
     while live_houses and feasible:
-        # Every live owner has one pointer in this step's graph, whether
-        # or not Tarjan reads its row.
-        counter.arcs_built += live_owners
-
         if tiebreak_rng is None:
             root = alive.index(1)
         else:
@@ -189,7 +194,6 @@ def _solve(
         # Unpacked, never indexed: perfbench's tracer wraps this call in a
         # generator.
         component, visited, scanned = scc_components(successors, root)
-        counter.scc_work += visited + scanned
 
         seg_houses = sorted(component)
         seg_owners: list[AgentId] = []
@@ -204,7 +208,6 @@ def _solve(
         feasible = all(
             demand[h] == len(owners_by_house[h]) for h in seg_houses
         )
-        counter.feasibility_comparisons += len(seg_houses) + len(seg_owners)
 
         seg_owners.sort()
         segment = Segment(
@@ -213,12 +216,13 @@ def _solve(
             owners=tuple(seg_owners),
             assignment={i: targets[i] for i in seg_owners},
             feasible=feasible,
+            visited=visited,
+            scanned=scanned,
         )
         trace.append(segment)
         for h in seg_houses:
             alive[h] = 0
         live_houses -= len(seg_houses)
-        live_owners -= len(seg_owners)
 
     if feasible:
         return SolveOutcome(Allocation(tuple(targets)), tuple(trace), None)

@@ -8,7 +8,9 @@ condensation, the pointing graph over the remaining house types, and the
 supply-equals-demand test.  Criterion 6 of the acceptance gate compares
 every solver segment against them.  ``rebuild_solve`` is the whole solve
 with every step's graph built in full, as ``_solve`` once did; the
-solver must match it segment for segment and count for count.
+solver must match it segment for segment and count for count.  It adds
+up its counts step by step into ``counter``, the independent reference
+for ``OpCounter.of``, which reads them from a trace.
 
 ``textbook_tarjan`` is Tarjan's algorithm as published, recursive and
 run to completion.  ``tarjan_scc`` takes the full partition from it, and
@@ -298,7 +300,8 @@ def rebuild_solve(
     """The solve with each step's pointing graph rebuilt in full: every
     remaining owner re-read, every row sorted, every live type remapped
     to a dense position.  ``tiebreak_seed=None`` is ``htts_solve``'s
-    default tie-break, otherwise ``solve_with_tiebreak``'s."""
+    default tie-break, otherwise ``solve_with_tiebreak``'s.  Each step's
+    counts are added to ``counter`` as the step runs."""
     tiebreak_rng = None if tiebreak_seed is None else SplitMix64(tiebreak_seed)
     if counter is None:
         counter = OpCounter()
@@ -374,6 +377,8 @@ def rebuild_solve(
             owners=tuple(seg_owners),
             assignment={i: targets[i] for i in seg_owners},
             feasible=feasible,
+            visited=visited,
+            scanned=scanned,
         )
         trace.append(segment)
         if not feasible:
@@ -402,7 +407,11 @@ def check_trace(market: Market, outcome: SolveOutcome) -> None:
       its favourite, which with closure makes it a sink SCC of its
       step's pointing graph;
     * flagged ``feasible`` exactly when, for every type in it, the
-      owners whose favourite it is number its copies.
+      owners whose favourite it is number its copies;
+    * searched within bounds: its step's search visited at least its
+      types and at most the live ones, and scanned at least one arc per
+      type (every segment row is read whole and holds an arc) and at
+      most one per live owner.
 
     Only the last segment may be infeasible, and the verdict, failed step
     and allocation must follow from the segments.
@@ -411,6 +420,7 @@ def check_trace(market: Market, outcome: SolveOutcome) -> None:
     endowments = market.endowments
     owners_by_house = market.owners_by_house
     alive = bytearray(b"\x01") * market.house_count
+    live_types, live_owners = market.house_count, market.agent_count
     cursors = [0] * market.agent_count
     assigned: dict[AgentId, HouseId] = {}
     for step, seg in enumerate(outcome.trace, start=1):
@@ -448,8 +458,16 @@ def check_trace(market: Market, outcome: SolveOutcome) -> None:
         assert _strongly_connected(arcs), f"step {step}: not strongly connected"
         feasible = all(demand[h] == len(owners_by_house[h]) for h in houses)
         assert seg.feasible == feasible, f"step {step}: feasible flag is wrong"
+        assert len(houses) <= seg.visited <= live_types, (
+            f"step {step}: visited {seg.visited} is out of bounds"
+        )
+        assert len(houses) <= seg.scanned <= live_owners, (
+            f"step {step}: scanned {seg.scanned} is out of bounds"
+        )
         for h in houses:
             alive[h] = 0
+        live_types -= len(houses)
+        live_owners -= len(owners)
         assigned.update(seg.assignment)
 
     if outcome.core_found:

@@ -279,12 +279,9 @@ def test_criterion_4_operation_scaling():
     with criterion("4 complexity scaling"):
         points = []
         for houses in (1000, 2000, 4000, 8000):
-            counter = OpCounter()
-            htts_solve(
-                random_market(GenParams(2 * houses, houses, 0)),
-                counter=counter,
-            )
-            points.append((houses, counter.total()))
+            market = random_market(GenParams(2 * houses, houses, 0))
+            counts = OpCounter.of(market, htts_solve(market))
+            points.append((houses, counts.total()))
         xs = [math.log(h) for h, _ in points]
         ys = [math.log(t) for _, t in points]
         mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
@@ -383,8 +380,7 @@ def test_criterion_6_invariant_suite(duplicate_type_markets, injective_markets):
 
 
 def _check_instance_invariants(m) -> None:
-    counter = OpCounter()
-    out = htts_solve(m, counter=counter)
+    out = htts_solve(m)
     remaining = set(range(m.house_count))
     seen_houses: set[int] = set()
     seen_owners: set[int] = set()
@@ -441,7 +437,7 @@ def _check_instance_invariants(m) -> None:
             remaining -= houses
 
     assert len(out.trace) <= m.house_count
-    assert counter.total() <= OPS_BOUND_C * (
+    assert OpCounter.of(m, out).total() <= OPS_BOUND_C * (
         m.house_count**2 + m.house_count * m.agent_count
     )
 

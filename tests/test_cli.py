@@ -85,8 +85,8 @@ class TestSolve:
         out = capsys.readouterr()
         assert out.out == WORKED_ALLOCATION
         stats_line = out.err.splitlines()[-1]
-        counter = OpCounter()
-        htts_solve(load_market(Path(WORKED).read_text()), counter=counter)
+        market = load_market(Path(WORKED).read_text())
+        counter = OpCounter.of(market, htts_solve(market))
         assert stats_line == (
             f"arcs={counter.arcs_built} scc={counter.scc_work} "
             f"feas={counter.feasibility_comparisons}"
@@ -117,11 +117,11 @@ class TestSolve:
         assert out.out == plain.out
 
         market = load_market(path.read_text())
-        counter = OpCounter()
         if "--tiebreak-seed" in flags:
-            outcome = solve_with_tiebreak(market, 5, counter=counter)
+            outcome = solve_with_tiebreak(market, 5)
         else:
-            outcome = htts_solve(market, counter=counter)
+            outcome = htts_solve(market)
+        counter = OpCounter.of(market, outcome)
         expected = [] if outcome.core_found else [
             f"EMPTY CORE at step {outcome.failed_step}"
         ]
@@ -406,8 +406,8 @@ class TestBench:
         row = capsys.readouterr().out.splitlines()[1].split()
         from houseswap import GenParams, random_market
 
-        counter = OpCounter()
-        htts_solve(random_market(GenParams(60, 30, 9)), counter=counter)
+        market = random_market(GenParams(60, 30, 9))
+        counter = OpCounter.of(market, htts_solve(market))
         assert [int(row[3]), int(row[4]), int(row[5])] == [
             counter.arcs_built,
             counter.scc_work,

@@ -350,16 +350,21 @@ def seeded_solve_draws(monkeypatch):
 
 
 def assert_matches_rebuild(market, tiebreak_seed):
-    counter, expected_counter = OpCounter(), OpCounter()
     if tiebreak_seed is None:
-        out = htts_solve(market, counter=counter)
+        out = htts_solve(market)
     else:
-        out = solve_with_tiebreak(market, tiebreak_seed, counter=counter)
+        out = solve_with_tiebreak(market, tiebreak_seed)
+    expected_counter = OpCounter()
     expected = rebuild_solve(market, tiebreak_seed, expected_counter)
     assert out.allocation == expected.allocation
     assert out.trace == expected.trace
+    assert [(seg.visited, seg.scanned) for seg in out.trace] == [
+        (seg.visited, seg.scanned) for seg in expected.trace
+    ]
     assert out.failed_step == expected.failed_step
-    assert counter == expected_counter
+    # The rebuild counts step by step as it goes; the solver's counts
+    # come from its trace alone.
+    assert OpCounter.of(market, out) == expected_counter
 
 
 class TestMatchesRebuild:
@@ -404,8 +409,15 @@ def _merge_segments(m, out):
             i: best_house(m, i, everything) for i in range(m.agent_count)
         },
         feasible=True,
+        visited=m.house_count,
+        scanned=m.agent_count,
     )
     return dataclasses.replace(out, trace=(merged,))
+
+
+def _scan_nothing(m, out):
+    first = dataclasses.replace(out.trace[0], scanned=0)
+    return dataclasses.replace(out, trace=(first, *out.trace[1:]))
 
 
 class TestCheckTrace:
@@ -434,6 +446,7 @@ class TestCheckTrace:
             (_flip_first_flag, "feasible flag"),
             (_drop_an_owner, "owners"),
             (_merge_segments, "strongly connected"),
+            (_scan_nothing, "scanned 0"),
         ],
     )
     def test_tampered_traces_fail(self, tamper, fault):
@@ -462,16 +475,28 @@ class TestOpCounter:
             counter.feasibility_comparisons,
         ) == tuple(2 * v for v in once)
 
+    @pytest.mark.parametrize(
+        "build, counts",
+        [
+            (worked_market, (8, 14, 9)),
+            # The failing segment is counted like any other.
+            (empty_core_market, (3, 4, 5)),
+            (lambda: validate_market([], []), (0, 0, 0)),
+        ],
+        ids=["worked", "empty_core", "houses_only"],
+    )
+    def test_of_reads_the_trace(self, build, counts):
+        m = build()
+        c = OpCounter.of(m, htts_solve(m))
+        assert (c.arcs_built, c.scc_work, c.feasibility_comparisons) == counts
+
     def test_total(self):
         counter = OpCounter(arcs_built=3, scc_work=5, feasibility_comparisons=7)
         assert counter.total() == 15
 
     def test_same_market_same_counts(self):
         m = two_swap_pairs_market()
-        a, b = OpCounter(), OpCounter()
-        htts_solve(m, counter=a)
-        htts_solve(m, counter=b)
-        assert a == b
+        assert OpCounter.of(m, htts_solve(m)) == OpCounter.of(m, htts_solve(m))
 
 
 class TestLazyRankingReads:
