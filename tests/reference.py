@@ -25,6 +25,10 @@ checks each segment in time linear in the market's size plus the rank
 positions read, so it can run on every segment of solves far too large
 for the from-scratch helpers above.
 
+``first_fault_market`` is ``houseswap.market.validate_market`` written
+from its definition: every check in the documented order, each ranking
+walked name by name, and the first fault raised.
+
 ``find_blocking_coalition`` runs the brute-force blocking search of
 ``houseswap.oracle`` on one allocation, the reference that
 ``test_oracle.py`` checks against a naive enumeration.
@@ -60,8 +64,14 @@ from houseswap.market import (
     AgentId,
     Allocation,
     BlockingCertificate,
+    DuplicateInPreferences,
+    DuplicateName,
     HouseId,
+    IncompletePreferences,
     Market,
+    UnendowedHouseType,
+    UnknownName,
+    ValidationError,
 )
 from houseswap.oracle import DEFAULT_CAP, _BlockSearch, _check_cap
 from houseswap.rng import SplitMix64
@@ -413,6 +423,10 @@ def check_trace(market: Market, outcome: SolveOutcome) -> None:
       type (every segment row is read whole and holds an arc) and at
       most one per live owner.
 
+    No owner's cursor passes its endowment, which stays live until the
+    owner trades: every assignment ranks at or above the endowment, and
+    a solve reads no ranking below it.
+
     Only the last segment may be infeasible, and the verdict, failed step
     and allocation must follow from the segments.
     """
@@ -444,6 +458,9 @@ def check_trace(market: Market, outcome: SolveOutcome) -> None:
             ranking = prefs[i]
             c = cursors[i]
             while not alive[ranking[c]]:
+                assert ranking[c] != endowments[i], (
+                    f"step {step}: agent {i}'s cursor passes its endowment"
+                )
                 c += 1
             cursors[i] = c
             favourite = ranking[c]
@@ -479,6 +496,64 @@ def check_trace(market: Market, outcome: SolveOutcome) -> None:
     else:
         assert outcome.trace and not outcome.trace[-1].feasible
         assert outcome.failed_step == len(outcome.trace)
+
+
+def first_fault_market(
+    houses: Sequence[str], agents: Sequence[tuple[str, str, Sequence[str]]]
+) -> Market:
+    """The market ``validate_market(houses, agents)`` builds, or its
+    error, from the definition alone.
+
+    House names in order: each must be one whitespace-free token and
+    not repeat an earlier one.  Then each agent row in order: its name
+    must be one token, not start with ``#`` and not repeat an earlier
+    agent's; its endowment must be a house; each ranked name, position
+    by position, must be a house and not repeat an earlier position;
+    and the ranking must name every house.  Last, every house must be
+    someone's endowment.  Quadratic, for small inputs.
+    """
+    houses = list(houses)
+    for k, name in enumerate(houses):
+        if name.split() != [name]:
+            raise ValidationError(f"house name {name!r} is not a single token")
+        if name in houses[:k]:
+            raise DuplicateName(f"duplicate house name {name!r}")
+    names: list[str] = []
+    rows: list[tuple[str, list[str]]] = []
+    for name, endowment, ranked in agents:
+        if name.split() != [name]:
+            raise ValidationError(f"agent name {name!r} is not a single token")
+        if name.startswith("#"):
+            raise ValidationError(f"agent name {name!r} starts with '#'")
+        if name in names:
+            raise DuplicateName(f"duplicate agent name {name!r}")
+        if endowment not in houses:
+            raise UnknownName(
+                f"agent {name!r} endowed with unknown house {endowment!r}"
+            )
+        ranked = list(ranked)
+        for k, house in enumerate(ranked):
+            if house not in houses:
+                raise UnknownName(f"agent {name!r} ranks unknown house {house!r}")
+            if house in ranked[:k]:
+                raise DuplicateInPreferences(
+                    f"agent {name!r} ranks house {house!r} twice"
+                )
+        if len(ranked) != len(houses):
+            raise IncompletePreferences(
+                f"agent {name!r} ranks {len(ranked)} of {len(houses)} house types"
+            )
+        names.append(name)
+        rows.append((endowment, ranked))
+    for house in houses:
+        if all(endowment != house for endowment, _ in rows):
+            raise UnendowedHouseType(f"house type {house!r} has no owner")
+    return Market(
+        house_names=tuple(houses),
+        agent_names=tuple(names),
+        endowments=tuple(houses.index(e) for e, _ in rows),
+        prefs=tuple(tuple(map(houses.index, r)) for _, r in rows),
+    )
 
 
 def find_blocking_coalition(

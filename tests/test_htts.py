@@ -34,6 +34,7 @@ from houseswap import (
     GenParams,
     OpCounter,
     Segment,
+    enumerate_strict_core,
     format_segment,
     format_trace,
     htts_solve,
@@ -497,6 +498,62 @@ class TestOpCounter:
     def test_same_market_same_counts(self):
         m = two_swap_pairs_market()
         assert OpCounter.of(m, htts_solve(m)) == OpCounter.of(m, htts_solve(m))
+
+
+def _permute_tails(market, rnd):
+    """``market`` with each ranking's types below its endowment shuffled
+    by ``rnd``."""
+    prefs = []
+    for ranking, endowment in zip(market.prefs, market.endowments):
+        ranking = list(ranking)
+        cut = ranking.index(endowment) + 1
+        tail = ranking[cut:]
+        rnd.shuffle(tail)
+        prefs.append((*ranking[:cut], *tail))
+    return dataclasses.replace(market, prefs=tuple(prefs))
+
+
+def _solve_record(market, tiebreak_seed):
+    """A solve's outcome and each segment's search counts."""
+    if tiebreak_seed is None:
+        out = htts_solve(market)
+    else:
+        out = solve_with_tiebreak(market, tiebreak_seed)
+    return out, [(seg.visited, seg.scanned) for seg in out.trace]
+
+
+class TestRankingTails:
+    """A strict-core allocation is individually rational and no cursor
+    passes its owner's endowment, so the order of the types below an
+    endowment changes neither the core nor the solve."""
+
+    @given(
+        st.integers(0, 2**32),
+        st.integers(1, 60),
+        st.integers(1, 60),
+        st.none() | st.integers(0, 2**64 - 1),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_solve_ignores_the_tail(self, seed, agents, houses, tiebreak_seed, rnd):
+        m = random_market(GenParams(agents, 1 + houses % agents, seed))
+        permuted = _permute_tails(m, rnd)
+        assert _solve_record(permuted, tiebreak_seed) == _solve_record(
+            m, tiebreak_seed
+        )
+
+    @given(
+        st.integers(0, 2**32),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_core_ignores_the_tail(self, seed, agents, houses, rnd):
+        m = random_market(GenParams(agents, 1 + houses % agents, seed))
+        permuted = _permute_tails(m, rnd)
+        assert _solve_record(permuted, None) == _solve_record(m, None)
+        assert enumerate_strict_core(permuted) == enumerate_strict_core(m)
 
 
 class TestLazyRankingReads:

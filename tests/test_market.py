@@ -21,7 +21,7 @@ from houseswap import (
     random_market,
     validate_market,
 )
-from reference import best_house
+from reference import best_house, first_fault_market
 
 
 class TestValidateMarket:
@@ -207,6 +207,26 @@ VALIDATION_CASES = [
         ValidationError,
         "agent name 'x y' is not a single token",
     ),
+    # A complete ranking with a name after it, an empty one, and one
+    # of full length whose last name repeats the first.
+    (
+        ["h1", "h2"],
+        [("a", "h1", ["h1", "h2", "h9"])],
+        UnknownName,
+        "agent 'a' ranks unknown house 'h9'",
+    ),
+    (
+        ["h1", "h2"],
+        [("a", "h1", [])],
+        IncompletePreferences,
+        "agent 'a' ranks 0 of 2 house types",
+    ),
+    (
+        ["h1", "h2", "h3"],
+        [("a", "h1", ["h1", "h2", "h1"])],
+        DuplicateInPreferences,
+        "agent 'a' ranks house 'h1' twice",
+    ),
 ]
 
 
@@ -222,6 +242,67 @@ class TestValidationMessages:
             validate_market(houses, agents)
         assert type(info.value) is error
         assert isinstance(info.value, ValidationError)
+
+
+def _outcome(houses, agents, build):
+    """The market ``build`` makes, or its error's class and message."""
+    try:
+        return build(houses, agents)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def market_descriptions(draw):
+    """Up to four distinct house names and up to four agent rows.  Agent
+    names come from a small pool; endowments and ranked names are
+    houses or the unknown ``h9``, and a ranking may be a permutation of
+    the houses or a list of up to one more name than there are houses."""
+    houses = draw(st.lists(st.sampled_from(["h1", "h2", "h3", "h4"]),
+                           max_size=4, unique=True))
+    token = st.sampled_from([*houses, "h9"])
+    endowment = st.sampled_from(houses) | token if houses else token
+    ranking = st.permutations(houses) | st.lists(
+        token, max_size=len(houses) + 1
+    )
+    rows = st.tuples(st.sampled_from(["a", "b", "c", "d"]), endowment, ranking)
+    return houses, draw(st.lists(rows, max_size=4))
+
+
+class TestFirstFault:
+    @given(market_descriptions())
+    @settings(max_examples=300)
+    def test_matches_the_definition(self, description):
+        houses, agents = description
+        assert _outcome(houses, agents, validate_market) == _outcome(
+            houses, agents, first_fault_market
+        )
+
+    @pytest.mark.parametrize("houses, agents, error, message", VALIDATION_CASES)
+    def test_reference_gives_every_case(self, houses, agents, error, message):
+        assert _outcome(houses, agents, first_fault_market) == (error, message)
+
+    def test_rankings_do_not_consume_the_house_index(self):
+        # Every agent ranks every type, so a pass that used up the
+        # shared index would reject b as naming unknown houses, and d's
+        # faults must be counted against the whole index.
+        houses = ["h1", "h2", "h3"]
+        rows = [
+            ("a", "h1", ["h1", "h2", "h3"]),
+            ("b", "h2", ["h3", "h2", "h1"]),
+            ("c", "h3", ["h2", "h3", "h1"]),
+        ]
+        m = validate_market(houses, rows)
+        assert m.prefs == ((0, 1, 2), (2, 1, 0), (1, 2, 0))
+        assert m == first_fault_market(houses, rows)
+        for ranked, error, message in [
+            (["h1", "h1"], DuplicateInPreferences,
+             "agent 'd' ranks house 'h1' twice"),
+            (["h1", "h2"], IncompletePreferences,
+             "agent 'd' ranks 2 of 3 house types"),
+        ]:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                validate_market(houses, [*rows, ("d", "h1", ranked)])
 
 
 class TestBestHouse:
