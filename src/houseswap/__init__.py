@@ -33,18 +33,12 @@ from .htts import (
 from .market import (
     Allocation,
     BlockingCertificate,
-    DuplicateInPreferences,
-    DuplicateName,
-    IncompletePreferences,
     Market,
-    UnendowedHouseType,
-    UnknownName,
     ValidationError,
     validate_market,
 )
 from .oracle import (
     CapExceeded,
-    NonInjectiveEndowment,
     enumerate_feasible_allocations,
     enumerate_strict_core,
     ttc_solve,
@@ -54,19 +48,13 @@ __all__ = [
     "Allocation",
     "BlockingCertificate",
     "CapExceeded",
-    "DuplicateInPreferences",
-    "DuplicateName",
     "GenParams",
-    "IncompletePreferences",
     "InvalidParams",
     "Market",
-    "NonInjectiveEndowment",
     "OpCounter",
     "ParseError",
     "Segment",
     "SolveOutcome",
-    "UnendowedHouseType",
-    "UnknownName",
     "ValidationError",
     "blocking_coalition",
     "enumerate_feasible_allocations",

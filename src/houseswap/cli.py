@@ -111,13 +111,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         sizes = []
     if not sizes or any(not 1 <= s <= sys.maxsize for s in sizes):
         raise InvalidParams(f"invalid size list {args.sizes!r}")
-    if not (args.ratio > 0 and math.isfinite(args.ratio * max(sizes))):
+    if not (args.ratio >= 1 and math.isfinite(args.ratio * max(sizes))):
         raise InvalidParams(f"invalid ratio {args.ratio}")
-    if args.repeats < 1:
-        raise InvalidParams(f"invalid repeats {args.repeats}")
     # Check every size's parameters before any market is built.
     size_params = [
-        GenParams(max(houses, round(args.ratio * houses)), houses, args.seed)
+        GenParams(round(args.ratio * houses), houses, args.seed)
         for houses in sizes
     ]
 
@@ -127,17 +125,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for params in size_params:
         houses, agents = params.house_count, params.agent_count
         market = random_market(params)
-        for _ in range(args.repeats):
-            start = time.perf_counter_ns()
-            outcome = htts_solve(market)
-            wall = time.perf_counter_ns() - start
-            counter = OpCounter.of(market, outcome)
-            rows.append(
-                f"{houses} {agents} {wall} {counter.arcs_built} "
-                f"{counter.scc_work} {counter.feasibility_comparisons}"
-            )
-            # Counts are deterministic per market, so every repeat agrees.
-            totals[houses] = counter.total()
+        start = time.perf_counter_ns()
+        outcome = htts_solve(market)
+        wall = time.perf_counter_ns() - start
+        counter = OpCounter.of(market, outcome)
+        rows.append(
+            f"{houses} {agents} {wall} {counter.arcs_built} "
+            f"{counter.scc_work} {counter.feasibility_comparisons}"
+        )
+        totals[houses] = counter.total()
 
     slope = _fit_slope(sorted(totals.items()))
     rows.append("slope=n/a" if slope is None else f"slope={slope:.3f}")
@@ -206,9 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="operation-count scaling table")
     p.add_argument("--sizes", required=True, help="comma-separated house counts")
-    p.add_argument("--ratio", type=float, default=2.0, help="agents per house type")
+    p.add_argument(
+        "--ratio", type=float, default=2.0, help="agents per house type, at least 1"
+    )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
     return parser

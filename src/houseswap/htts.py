@@ -73,16 +73,20 @@ class Segment:
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    """Result of a solve: an allocation with its segment trace, or an
-    EmptyCore verdict with the step that failed."""
+    """Result of a solve: its segment trace, and the allocation, or
+    ``None`` when the core is empty and the last segment is infeasible."""
 
     allocation: Allocation | None
     trace: tuple[Segment, ...]
-    failed_step: int | None
 
     @property
     def core_found(self) -> bool:
         return self.allocation is not None
+
+    @property
+    def failed_step(self) -> int | None:
+        """The infeasible last step of an empty-core solve, else None."""
+        return None if self.core_found else len(self.trace)
 
 
 @dataclass
@@ -224,9 +228,8 @@ def _solve(market: Market, tiebreak_rng: SplitMix64 | None) -> SolveOutcome:
             alive[h] = 0
         live_houses -= len(seg_houses)
 
-    if feasible:
-        return SolveOutcome(Allocation(tuple(targets)), tuple(trace), None)
-    return SolveOutcome(None, tuple(trace), len(trace))
+    allocation = Allocation(tuple(targets)) if feasible else None
+    return SolveOutcome(allocation, tuple(trace))
 
 
 def blocking_coalition(

@@ -21,27 +21,8 @@ AgentId = int
 
 
 class ValidationError(ValueError):
-    """A market description violates the model's assumptions."""
-
-
-class DuplicateName(ValidationError):
-    pass
-
-
-class UnknownName(ValidationError):
-    pass
-
-
-class IncompletePreferences(ValidationError):
-    """An agent's preference list does not cover every house type."""
-
-
-class DuplicateInPreferences(ValidationError):
-    pass
-
-
-class UnendowedHouseType(ValidationError):
-    """A declared house type that no agent is endowed with."""
+    """A market description violates the model's assumptions; the
+    message names the first fault."""
 
 
 @dataclass(frozen=True)
@@ -177,7 +158,7 @@ def validate_market(
         if name.split() != [name]:
             raise ValidationError(f"house name {name!r} is not a single token")
         if name in house_index:
-            raise DuplicateName(f"duplicate house name {name!r}")
+            raise ValidationError(f"duplicate house name {name!r}")
         house_index[name] = len(house_index)
 
     agent_names: list[str] = []
@@ -191,10 +172,10 @@ def validate_market(
         if name.startswith("#"):
             raise ValidationError(f"agent name {name!r} starts with '#'")
         if name in seen_agents:
-            raise DuplicateName(f"duplicate agent name {name!r}")
+            raise ValidationError(f"duplicate agent name {name!r}")
         seen_agents.add(name)
         if endowment not in house_index:
-            raise UnknownName(
+            raise ValidationError(
                 f"agent {name!r} endowed with unknown house {endowment!r}"
             )
         try:
@@ -202,14 +183,14 @@ def validate_market(
         except KeyError as fault:
             house = fault.args[0]
             if house in house_index:
-                raise DuplicateInPreferences(
+                raise ValidationError(
                     f"agent {name!r} ranks house {house!r} twice"
                 ) from None
-            raise UnknownName(
+            raise ValidationError(
                 f"agent {name!r} ranks unknown house {house!r}"
             ) from None
         if unranked:
-            raise IncompletePreferences(
+            raise ValidationError(
                 f"agent {name!r} ranks {len(ranking)} of {len(house_index)}"
                 " house types"
             )
@@ -225,7 +206,7 @@ def validate_market(
     endowed = set(endowments)
     for name, h in house_index.items():
         if h not in endowed:
-            raise UnendowedHouseType(f"house type {name!r} has no owner")
+            raise ValidationError(f"house type {name!r} has no owner")
 
     return Market(
         house_names=tuple(houses),

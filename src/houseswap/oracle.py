@@ -28,10 +28,6 @@ class CapExceeded(ValueError):
     """Market is too large for exhaustive enumeration."""
 
 
-class NonInjectiveEndowment(ValueError):
-    """ttc_solve requires every house type to have exactly one owner."""
-
-
 def _check_cap(market: Market, cap: int) -> None:
     if market.agent_count > cap:
         raise CapExceeded(
@@ -174,6 +170,7 @@ def ttc_solve(market: Market, cap: int = DEFAULT_CAP) -> Allocation:
     following pointers from the lowest-id unassigned agent must reach a
     cycle, whose members trade and leave.  With distinct house types and
     strict preferences this yields the unique strict-core allocation.
+    A market with any other endowment raises ``ValueError``.
 
     TTC runs in polynomial time, but by default it keeps the brute
     force's 8-agent cap and raises ``CapExceeded`` above it; a large
@@ -182,7 +179,7 @@ def ttc_solve(market: Market, cap: int = DEFAULT_CAP) -> Allocation:
     _check_cap(market, cap)
     n = market.agent_count
     if any(len(owners) != 1 for owners in market.owners_by_house):
-        raise NonInjectiveEndowment("every house type needs exactly one owner")
+        raise ValueError("every house type needs exactly one owner")
 
     owner_of = [owners[0] for owners in market.owners_by_house]
     remaining = set(range(market.house_count))

@@ -64,13 +64,8 @@ from houseswap.market import (
     AgentId,
     Allocation,
     BlockingCertificate,
-    DuplicateInPreferences,
-    DuplicateName,
     HouseId,
-    IncompletePreferences,
     Market,
-    UnendowedHouseType,
-    UnknownName,
     ValidationError,
 )
 from houseswap.oracle import DEFAULT_CAP, _BlockSearch, _check_cap
@@ -392,7 +387,7 @@ def rebuild_solve(
         )
         trace.append(segment)
         if not feasible:
-            return SolveOutcome(None, tuple(trace), step)
+            return SolveOutcome(None, tuple(trace))
 
         for i in seg_owners:
             assignment[i] = targets[i]
@@ -400,7 +395,7 @@ def rebuild_solve(
             alive[h] = 0
         remaining = [h for h in remaining if alive[h]]
 
-    return SolveOutcome(Allocation(tuple(assignment)), tuple(trace), None)
+    return SolveOutcome(Allocation(tuple(assignment)), tuple(trace))
 
 
 def check_trace(market: Market, outcome: SolveOutcome) -> None:
@@ -517,7 +512,7 @@ def first_fault_market(
         if name.split() != [name]:
             raise ValidationError(f"house name {name!r} is not a single token")
         if name in houses[:k]:
-            raise DuplicateName(f"duplicate house name {name!r}")
+            raise ValidationError(f"duplicate house name {name!r}")
     names: list[str] = []
     rows: list[tuple[str, list[str]]] = []
     for name, endowment, ranked in agents:
@@ -526,28 +521,28 @@ def first_fault_market(
         if name.startswith("#"):
             raise ValidationError(f"agent name {name!r} starts with '#'")
         if name in names:
-            raise DuplicateName(f"duplicate agent name {name!r}")
+            raise ValidationError(f"duplicate agent name {name!r}")
         if endowment not in houses:
-            raise UnknownName(
+            raise ValidationError(
                 f"agent {name!r} endowed with unknown house {endowment!r}"
             )
         ranked = list(ranked)
         for k, house in enumerate(ranked):
             if house not in houses:
-                raise UnknownName(f"agent {name!r} ranks unknown house {house!r}")
+                raise ValidationError(f"agent {name!r} ranks unknown house {house!r}")
             if house in ranked[:k]:
-                raise DuplicateInPreferences(
+                raise ValidationError(
                     f"agent {name!r} ranks house {house!r} twice"
                 )
         if len(ranked) != len(houses):
-            raise IncompletePreferences(
+            raise ValidationError(
                 f"agent {name!r} ranks {len(ranked)} of {len(houses)} house types"
             )
         names.append(name)
         rows.append((endowment, ranked))
     for house in houses:
         if all(endowment != house for endowment, _ in rows):
-            raise UnendowedHouseType(f"house type {house!r} has no owner")
+            raise ValidationError(f"house type {house!r} has no owner")
     return Market(
         house_names=tuple(houses),
         agent_names=tuple(names),

@@ -379,19 +379,17 @@ class TestGen:
 
 class TestBench:
     def test_table_shape(self, capsys):
-        assert main([
-            "bench", "--sizes", "20,40", "--seed", "1", "--repeats", "2",
-        ]) == 0
+        assert main(["bench", "--sizes", "20,40", "--seed", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "H I wall_ns arcs scc feas"
         data = lines[1:-1]
-        assert len(data) == 4
+        assert len(data) == 2
         for row in data:
             cells = row.split()
             assert len(cells) == 6
             assert all(cell.isdigit() for cell in cells)
-        assert [row.split()[0] for row in data] == ["20", "20", "40", "40"]
-        assert [row.split()[1] for row in data] == ["40", "40", "80", "80"]
+        assert [row.split()[0] for row in data] == ["20", "40"]
+        assert [row.split()[1] for row in data] == ["40", "80"]
         assert re.fullmatch(r"slope=-?\d+\.\d{3}", lines[-1])
 
     def test_ratio_one(self, capsys):
@@ -425,8 +423,7 @@ class TestBench:
             ("--ratio", "1e400"),
             ("--ratio", "0"),
             ("--ratio", "-1"),
-            ("--repeats", "0"),
-            ("--repeats", "-1"),
+            ("--ratio", "0.5"),
         ]:
             assert main(["bench", "--sizes", "10", option, value]) == 1
             out = capsys.readouterr()
@@ -483,9 +480,10 @@ class TestErrorLines:
                 ["bench", "--sizes", "10", "--ratio", "0"],
                 "error: invalid ratio 0.0\n",
             ),
+            # Below one agent per type, a size cannot be generated.
             (
-                ["bench", "--sizes", "10", "--repeats", "0"],
-                "error: invalid repeats 0\n",
+                ["bench", "--sizes", "10", "--ratio", "0.5"],
+                "error: invalid ratio 0.5\n",
             ),
             # Two copies of h1 do not exist in the worked market.
             (
@@ -532,6 +530,11 @@ class TestUsageErrors:
                 ["solve", WORKED, "--tiebreak-seed", "abc"],
                 "error: argument --tiebreak-seed: must be an integer "
                 "in [0, 2**64), got 'abc'\n",
+            ),
+            # bench runs each size once; it has no repeat count.
+            (
+                ["bench", "--sizes", "10", "--repeats", "2"],
+                "error: unrecognized arguments: --repeats 2\n",
             ),
         ],
     )

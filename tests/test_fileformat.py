@@ -13,12 +13,8 @@ from hypothesis import strategies as st
 from conftest import FIXTURES, worked_market
 from houseswap import (
     Allocation,
-    DuplicateInPreferences,
-    DuplicateName,
     GenParams,
-    IncompletePreferences,
     ParseError,
-    UnknownName,
     ValidationError,
     fileformat,
     htts_solve,
@@ -32,7 +28,7 @@ from houseswap import (
 )
 from houseswap.rng import ShuffledRange
 from reference import ScalarSplitMix64, scalar_fisher_yates
-from test_market import VALIDATION_CASES
+from test_market import VALIDATION_CASES, fault_of
 
 
 class TestParseMarket:
@@ -121,8 +117,9 @@ class TestParseMarket:
 
     def test_validation_errors_surface_through_load(self):
         text = "houses: h1 h2\nagent a endow h1 prefs h1\nagent b endow h2 prefs h2 h1\n"
-        with pytest.raises(IncompletePreferences):
+        with pytest.raises(ValidationError) as exc:
             load_market(text)
+        assert str(exc.value) == "agent 'a' ranks 1 of 2 house types"
 
     def test_parse_does_not_validate(self):
         _, agents = parse_market_text("houses: h1\nagent a endow h9 prefs h9\n")
@@ -225,10 +222,11 @@ class TestLoadMarketPaths:
             expected = _outcome(_two_phase, mutated)
             assert _outcome(load_market, mutated) == expected, mutated
             if isinstance(expected, tuple):
-                errors.add(expected[0])
+                error, message = expected
+                errors.add(error if error is ParseError else fault_of(message))
         # The mutations reach the syntax check and each validation check.
-        assert {ParseError, DuplicateName, UnknownName,
-                DuplicateInPreferences, ValidationError} <= errors
+        assert {ParseError, "DuplicateName", "UnknownName",
+                "DuplicateInPreferences", "ValidationError"} <= errors
 
     def test_syntax_error_beats_an_earlier_validation_error(self):
         text = (
@@ -243,13 +241,13 @@ class TestLoadMarketPaths:
             "line 4: expected 'agent <name> endow <house> prefs <house> ...'"
         )
         # Without the syntax error, the validation error is raised.
-        with pytest.raises(UnknownName) as exc:
+        with pytest.raises(ValidationError) as exc:
             load_market(text.replace("agent c h1\n", ""))
         assert str(exc.value) == "agent 'a' endowed with unknown house 'h9'"
 
-    @pytest.mark.parametrize("houses, agents, error, message", VALIDATION_CASES)
+    @pytest.mark.parametrize("houses, agents, fault, message", VALIDATION_CASES)
     def test_validation_messages_through_text(
-        self, houses, agents, error, message
+        self, houses, agents, fault, message
     ):
         text = _market_text(houses, agents)
         outcome = _outcome(load_market, text)
@@ -257,7 +255,9 @@ class TestLoadMarketPaths:
         names = [*houses, *(name for name, _, _ in agents)]
         if all(name.split() == [name] for name in names):
             # The text carries the case unchanged.
-            assert outcome == (error, message)
+            error, text_message = outcome
+            assert error is ValidationError
+            assert text_message == message
 
     def test_faulty_text_is_split_once(self, monkeypatch):
         calls = []

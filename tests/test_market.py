@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 from conftest import empty_core_market, minimal_market, worked_market
 from houseswap import (
     Allocation,
-    DuplicateInPreferences,
-    DuplicateName,
     GenParams,
-    IncompletePreferences,
-    UnendowedHouseType,
-    UnknownName,
     ValidationError,
     random_market,
     validate_market,
@@ -48,36 +43,36 @@ class TestValidateMarket:
         assert m.agent_count == 0 and m.house_count == 0
 
     def test_duplicate_house_name(self):
-        with pytest.raises(DuplicateName):
+        with pytest.raises(ValidationError):
             validate_market(["h1", "h1"], [("a", "h1", ["h1", "h1"])])
 
     def test_duplicate_agent_name(self):
-        with pytest.raises(DuplicateName):
+        with pytest.raises(ValidationError):
             validate_market(
                 ["h1"], [("a", "h1", ["h1"]), ("a", "h1", ["h1"])]
             )
 
     def test_unknown_endowment(self):
-        with pytest.raises(UnknownName):
+        with pytest.raises(ValidationError):
             validate_market(["h1"], [("a", "h9", ["h1"])])
 
     def test_unknown_house_in_prefs(self):
-        with pytest.raises(UnknownName):
+        with pytest.raises(ValidationError):
             validate_market(["h1"], [("a", "h1", ["h9"])])
 
     def test_incomplete_prefs(self):
-        with pytest.raises(IncompletePreferences):
+        with pytest.raises(ValidationError):
             validate_market(["h1", "h2"], [("a", "h1", ["h1"]), ("b", "h2", ["h1", "h2"])])
 
     def test_duplicate_in_prefs(self):
-        with pytest.raises(DuplicateInPreferences):
+        with pytest.raises(ValidationError):
             validate_market(
                 ["h1", "h2"],
                 [("a", "h1", ["h1", "h1"]), ("b", "h2", ["h1", "h2"])],
             )
 
     def test_unendowed_house_type(self):
-        with pytest.raises(UnendowedHouseType):
+        with pytest.raises(ValidationError):
             validate_market(["h1", "h2"], [("a", "h1", ["h2", "h1"])])
 
     def test_raw_prefs_order_preserved(self):
@@ -88,80 +83,101 @@ class TestValidateMarket:
         assert m.prefs[1] == (0, 1)
 
 
-# (houses, agents, error, message) cases of TestValidationMessages;
+# Every invalid market raises ValidationError itself, and its message
+# names the fault.  Each case is labelled with the check that finds it,
+# and FAULTS gives the shape of each check's message.
+_NAME = r"""('[^']*'|"[^"]*")"""
+FAULTS = {
+    "DuplicateName": rf"duplicate (house|agent) name {_NAME}",
+    "UnknownName": rf"agent {_NAME} (endowed with|ranks) unknown house {_NAME}",
+    "DuplicateInPreferences": rf"agent {_NAME} ranks house {_NAME} twice",
+    "IncompletePreferences": rf"agent {_NAME} ranks \d+ of \d+ house types",
+    "UnendowedHouseType": rf"house type {_NAME} has no owner",
+    "ValidationError": rf"(house|agent) name {_NAME} "
+    r"(is not a single token|starts with '#')",
+}
+
+
+def fault_of(message: str) -> str:
+    """The ``FAULTS`` key whose shape ``message`` has."""
+    (fault,) = [f for f, shape in FAULTS.items() if re.fullmatch(shape, message)]
+    return fault
+
+
+# (houses, agents, fault, message) cases of TestValidationMessages;
 # tests/test_fileformat.py also runs them through load_market as text.
 VALIDATION_CASES = [
     (
         ["h1", "h1"],
         [("a", "h1", ["h1", "h1"])],
-        DuplicateName,
+        "DuplicateName",
         "duplicate house name 'h1'",
     ),
     (
         ["h1"],
         [("a", "h1", ["h1"]), ("a", "h1", ["h1"])],
-        DuplicateName,
+        "DuplicateName",
         "duplicate agent name 'a'",
     ),
     (
         ["h1"],
         [("a", "h9", ["h1"])],
-        UnknownName,
+        "UnknownName",
         "agent 'a' endowed with unknown house 'h9'",
     ),
     (
         ["h1", "h2"],
         [("a", "h1", ["h2", "h9"])],
-        UnknownName,
+        "UnknownName",
         "agent 'a' ranks unknown house 'h9'",
     ),
     (
         ["h1", "h2"],
         [("a", "h1", ["h1", "h1"])],
-        DuplicateInPreferences,
+        "DuplicateInPreferences",
         "agent 'a' ranks house 'h1' twice",
     ),
     (
         ["h1", "h2", "h3"],
         [("a", "h1", ["h3", "h1"])],
-        IncompletePreferences,
+        "IncompletePreferences",
         "agent 'a' ranks 2 of 3 house types",
     ),
     (
         ["h1", "h2"],
         [("a", "h1", ["h2", "h1"])],
-        UnendowedHouseType,
+        "UnendowedHouseType",
         "house type 'h2' has no owner",
     ),
     # Several faults on one agent line.
     (
         ["h1", "h2"],
         [("a", "h9", ["h9", "h1", "h1"])],
-        UnknownName,
+        "UnknownName",
         "agent 'a' endowed with unknown house 'h9'",
     ),
     (
         ["h1", "h2"],
         [("a", "h1", ["h2", "h2", "h9"])],
-        DuplicateInPreferences,
+        "DuplicateInPreferences",
         "agent 'a' ranks house 'h2' twice",
     ),
     (
         ["h1", "h2"],
         [("a", "h1", ["h9", "h2", "h2"])],
-        UnknownName,
+        "UnknownName",
         "agent 'a' ranks unknown house 'h9'",
     ),
     (
         ["h1", "h2"],
         [("a", "h1", ["h1", "h2", "h1"])],
-        DuplicateInPreferences,
+        "DuplicateInPreferences",
         "agent 'a' ranks house 'h1' twice",
     ),
     (
         ["h1", "h2", "h3"],
         [("a", "h1", ["h1", "h1"])],
-        DuplicateInPreferences,
+        "DuplicateInPreferences",
         "agent 'a' ranks house 'h1' twice",
     ),
     # The first faulty agent is reported, whatever the later ones hold.
@@ -172,7 +188,7 @@ VALIDATION_CASES = [
             ("b", "h2", ["h2"]),
             ("c", "h9", ["h9"]),
         ],
-        IncompletePreferences,
+        "IncompletePreferences",
         "agent 'b' ranks 1 of 2 house types",
     ),
     # Names the text formats split at whitespace could not carry
@@ -181,7 +197,7 @@ VALIDATION_CASES = [
         (
             [name],
             [("a", name, [name])],
-            ValidationError,
+            "ValidationError",
             f"house name {name!r} is not a single token",
         )
         for name in ["", "a b", "a\tb"]
@@ -190,7 +206,7 @@ VALIDATION_CASES = [
         (
             ["h1"],
             [(name, "h1", ["h1"])],
-            ValidationError,
+            "ValidationError",
             f"agent name {name!r} is not a single token",
         )
         for name in ["", "a b", "a\tb"]
@@ -198,13 +214,13 @@ VALIDATION_CASES = [
     (
         ["a b", "c"],
         [("x y", "a b", ["a b", "c"]), ("", "c", ["c", "a b"])],
-        ValidationError,
+        "ValidationError",
         "house name 'a b' is not a single token",
     ),
     (
         ["ab", "c"],
         [("x y", "ab", ["ab", "c"]), ("", "c", ["c", "ab"])],
-        ValidationError,
+        "ValidationError",
         "agent name 'x y' is not a single token",
     ),
     # A complete ranking with a name after it, an empty one, and one
@@ -212,19 +228,19 @@ VALIDATION_CASES = [
     (
         ["h1", "h2"],
         [("a", "h1", ["h1", "h2", "h9"])],
-        UnknownName,
+        "UnknownName",
         "agent 'a' ranks unknown house 'h9'",
     ),
     (
         ["h1", "h2"],
         [("a", "h1", [])],
-        IncompletePreferences,
+        "IncompletePreferences",
         "agent 'a' ranks 0 of 2 house types",
     ),
     (
         ["h1", "h2", "h3"],
         [("a", "h1", ["h1", "h2", "h1"])],
-        DuplicateInPreferences,
+        "DuplicateInPreferences",
         "agent 'a' ranks house 'h1' twice",
     ),
 ]
@@ -236,12 +252,12 @@ class TestValidationMessages:
     endowment, then the ranked names position by position, then the
     list's length."""
 
-    @pytest.mark.parametrize("houses, agents, error, message", VALIDATION_CASES)
-    def test_exact_message(self, houses, agents, error, message):
-        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+    @pytest.mark.parametrize("houses, agents, fault, message", VALIDATION_CASES)
+    def test_exact_message(self, houses, agents, fault, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as info:
             validate_market(houses, agents)
-        assert type(info.value) is error
-        assert isinstance(info.value, ValidationError)
+        assert type(info.value) is ValidationError
+        assert fault_of(message) == fault
 
 
 def _outcome(houses, agents, build):
@@ -278,9 +294,11 @@ class TestFirstFault:
             houses, agents, first_fault_market
         )
 
-    @pytest.mark.parametrize("houses, agents, error, message", VALIDATION_CASES)
-    def test_reference_gives_every_case(self, houses, agents, error, message):
-        assert _outcome(houses, agents, first_fault_market) == (error, message)
+    @pytest.mark.parametrize("houses, agents, fault, message", VALIDATION_CASES)
+    def test_reference_gives_every_case(self, houses, agents, fault, message):
+        assert _outcome(houses, agents, first_fault_market) == (
+            ValidationError, message
+        )
 
     def test_rankings_do_not_consume_the_house_index(self):
         # Every agent ranks every type, so a pass that used up the
@@ -295,13 +313,11 @@ class TestFirstFault:
         m = validate_market(houses, rows)
         assert m.prefs == ((0, 1, 2), (2, 1, 0), (1, 2, 0))
         assert m == first_fault_market(houses, rows)
-        for ranked, error, message in [
-            (["h1", "h1"], DuplicateInPreferences,
-             "agent 'd' ranks house 'h1' twice"),
-            (["h1", "h2"], IncompletePreferences,
-             "agent 'd' ranks 2 of 3 house types"),
+        for ranked, message in [
+            (["h1", "h1"], "agent 'd' ranks house 'h1' twice"),
+            (["h1", "h2"], "agent 'd' ranks 2 of 3 house types"),
         ]:
-            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
                 validate_market(houses, [*rows, ("d", "h1", ranked)])
 
 

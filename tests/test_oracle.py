@@ -25,7 +25,6 @@ from houseswap import (
     Allocation,
     CapExceeded,
     GenParams,
-    NonInjectiveEndowment,
     enumerate_feasible_allocations,
     enumerate_strict_core,
     htts_solve,
@@ -200,7 +199,9 @@ class TestTtcSolve:
         assert ttc_solve(m).assignment == (1, 2, 0)
 
     def test_rejects_duplicate_types(self):
-        with pytest.raises(NonInjectiveEndowment):
+        with pytest.raises(
+            ValueError, match="^every house type needs exactly one owner$"
+        ):
             ttc_solve(empty_core_market())
 
     def test_cap(self):
