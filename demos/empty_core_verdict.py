@@ -10,11 +10,11 @@ a supply/demand mismatch inside the very first trading segment.
 
 from houseswap import (
     blocking_coalition,
-    enumerate_feasible_allocations,
     format_segment,
     htts_solve,
     validate_market,
 )
+from houseswap.oracle import enumerate_feasible_allocations
 
 # Each agent row is (name, endowment, ranking from best to worst).
 market = validate_market(

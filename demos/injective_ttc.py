@@ -9,7 +9,8 @@ must reproduce that answer exactly, because a cycle is just a strongly
 connected component in which supply and demand are both 1 everywhere.
 """
 
-from houseswap import GenParams, htts_solve, random_market, ttc_solve
+from houseswap import GenParams, htts_solve, random_market
+from houseswap.oracle import ttc_solve
 
 # house_count == agent_count makes the generated endowment injective.
 for seed in range(200):

@@ -8,7 +8,8 @@ This script runs both that enumeration and the polynomial solver over a
 batch of random markets and tallies the comparison.
 """
 
-from houseswap import GenParams, enumerate_strict_core, htts_solve, random_market
+from houseswap import GenParams, htts_solve, random_market
+from houseswap.oracle import enumerate_strict_core
 
 # 120 markets, up to six agents, duplicate types allowed.  Every batch
 # is a pure function of the seeds, so reruns see identical markets.

@@ -6,20 +6,20 @@ The solver (``htts_solve``, ``solve_with_tiebreak``) decides whether a
 strict-core allocation exists and computes it when it does, by
 repeatedly trading away a sink strongly connected component of the
 pointing graph on remaining types.  Around it sit the validated market
-model, text file formats, a seeded market generator, and two
-references for checking results: a brute-force core oracle for small
-markets and classic top trading cycles for injective endowments.
+model, text file formats and a seeded market generator; every bad
+input raises ``ValidationError``.  ``houseswap.oracle``, not imported
+here, holds the references for checking results: a brute-force core
+oracle for small markets and classic TTC for injective endowments.
 """
 
 from .fileformat import (
-    ParseError,
     load_market,
     parse_allocation_text,
     parse_market_text,
     serialize_allocation,
     serialize_market,
 )
-from .gen import GenParams, InvalidParams, random_market
+from .gen import GenParams, random_market
 from .htts import (
     OpCounter,
     Segment,
@@ -37,28 +37,17 @@ from .market import (
     ValidationError,
     validate_market,
 )
-from .oracle import (
-    CapExceeded,
-    enumerate_feasible_allocations,
-    enumerate_strict_core,
-    ttc_solve,
-)
 
 __all__ = [
     "Allocation",
     "BlockingCertificate",
-    "CapExceeded",
     "GenParams",
-    "InvalidParams",
     "Market",
     "OpCounter",
-    "ParseError",
     "Segment",
     "SolveOutcome",
     "ValidationError",
     "blocking_coalition",
-    "enumerate_feasible_allocations",
-    "enumerate_strict_core",
     "format_segment",
     "format_trace",
     "htts_solve",
@@ -69,7 +58,6 @@ __all__ = [
     "serialize_allocation",
     "serialize_market",
     "solve_with_tiebreak",
-    "ttc_solve",
     "validate_market",
 ]
 

@@ -2,9 +2,9 @@
 
 Exit codes: 0 for a found allocation or a verified core member, 2 for
 an empty core or a blocked allocation, 1 for bad input (usage errors,
-unreadable files, parse or validation errors, ``oracle``'s cap
-overruns, out of memory).  Every error is one ``error: <message>``
-line on stderr.
+unreadable files, out of memory, and any ``ValidationError``: a bad file,
+``gen`` or ``bench`` value, or ``oracle``'s cap overrun).  Every error is
+one ``error: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -16,14 +16,13 @@ import time
 from typing import NoReturn
 
 from .fileformat import (
-    ParseError,
     load_market,
     parse_allocation_text,
     read_text,
     serialize_allocation,
     serialize_market,
 )
-from .gen import GenParams, InvalidParams, random_market
+from .gen import GenParams, random_market
 from .htts import (
     OpCounter,
     blocking_coalition,
@@ -32,7 +31,6 @@ from .htts import (
     solve_with_tiebreak,
 )
 from .market import Market, ValidationError
-from .oracle import CapExceeded, enumerate_strict_core
 
 
 def _read_market(path: str) -> Market:
@@ -77,6 +75,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import enumerate_strict_core  # no other command loads it
     market = _read_market(args.market)
     core = enumerate_strict_core(market)
     if core:
@@ -109,10 +108,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         sizes = [int(tok) for tok in args.sizes.split(",") if tok]
     except ValueError:
         sizes = []
-    if not sizes or any(not 1 <= s <= sys.maxsize for s in sizes):
-        raise InvalidParams(f"invalid size list {args.sizes!r}")
+    # A repeated size would print a second row and a second slope point.
+    distinct = len(set(sizes)) == len(sizes)
+    if not (sizes and distinct and all(1 <= s <= sys.maxsize for s in sizes)):
+        raise ValidationError(f"invalid size list {args.sizes!r}")
     if not (args.ratio >= 1 and math.isfinite(args.ratio * max(sizes))):
-        raise InvalidParams(f"invalid ratio {args.ratio}")
+        raise ValidationError(f"invalid ratio {args.ratio}")
     # Check every size's parameters before any market is built.
     size_params = [
         GenParams(round(args.ratio * houses), houses, args.seed)
@@ -215,9 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ParseError, ValidationError, InvalidParams, CapExceeded, OSError
-    ) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -14,7 +14,8 @@ Names are unique whitespace-free tokens.
 ``validate_market``.  ``load_market`` reads a market file in one pass,
 feeding its agent lines to ``validate_market`` as they are split; it
 builds the same market, or raises the same error, as
-``validate_market(*parse_market_text(text))``.
+``validate_market(*parse_market_text(text))``.  Every error is a
+``ValidationError``; a syntax error's message starts ``line N: ``.
 
 Allocation file: one line per agent, in agent declaration order::
 
@@ -26,24 +27,21 @@ from __future__ import annotations
 from .market import Allocation, Market, ValidationError, validate_market
 
 
-class ParseError(ValueError):
-    def __init__(self, line: int, message: str) -> None:
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+def _line_error(line: int, message: str) -> ValidationError:
+    return ValidationError(f"line {line}: {message}")
 
 
 def read_text(path: str) -> str:
-    """Decode a UTF-8 input file; an undecodable byte is a ParseError
-    that names its line."""
+    """Decode a UTF-8 input file; an undecodable byte is an error that
+    names its line."""
     with open(path, "rb") as f:
         data = f.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(
-            line, f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
-        ) from None
+        byte = data[exc.start]
+        raise _line_error(line, f"invalid UTF-8 byte 0x{byte:02x}") from None
 
 
 def _last_line(text: str) -> int:
@@ -67,9 +65,9 @@ def _house_names(text: str, lines) -> list[str]:
     try:
         lineno, tokens = next(lines)
     except StopIteration:
-        raise ParseError(_last_line(text), "missing 'houses:' line") from None
+        raise _line_error(_last_line(text), "missing 'houses:' line") from None
     if tokens[0] != "houses:":
-        raise ParseError(lineno, "first line must start with 'houses:'")
+        raise _line_error(lineno, "first line must start with 'houses:'")
     del tokens[0]
     return tokens
 
@@ -84,7 +82,7 @@ def _agent_rows(lines):
             or tokens[2] != "endow"
             or tokens[4] != "prefs"
         ):
-            raise ParseError(
+            raise _line_error(
                 lineno,
                 "expected 'agent <name> endow <house> prefs <house> ...'",
             )
@@ -124,7 +122,8 @@ def load_market(text: str) -> Market:
         # lazily, and every row before it was valid.
         return validate_market(houses, rows)
     except ValidationError:
-        # A syntax error on a later line takes precedence.
+        # A syntax error on a later line takes precedence; after one from
+        # ``rows`` itself, the generator is finished and this reads nothing.
         for _ in rows:
             pass
         raise
@@ -154,20 +153,20 @@ def parse_allocation_text(text: str, market: Market) -> Allocation:
     assignment: list[int] = [-1] * market.agent_count
     for lineno, tokens in _significant_lines(text):
         if len(tokens) != 3 or tokens[1] != "->":
-            raise ParseError(lineno, "expected '<agent> -> <house>'")
+            raise _line_error(lineno, "expected '<agent> -> <house>'")
         agent_name, _, house_name = tokens
         agent = market.agent_index.get(agent_name)
         if agent is None:
-            raise ParseError(lineno, f"unknown agent {agent_name!r}")
+            raise _line_error(lineno, f"unknown agent {agent_name!r}")
         house = market.house_index.get(house_name)
         if house is None:
-            raise ParseError(lineno, f"unknown house {house_name!r}")
+            raise _line_error(lineno, f"unknown house {house_name!r}")
         if assignment[agent] != -1:
-            raise ParseError(lineno, f"agent {agent_name!r} assigned twice")
+            raise _line_error(lineno, f"agent {agent_name!r} assigned twice")
         assignment[agent] = house
     for i, h in enumerate(assignment):
         if h == -1:
-            raise ParseError(
+            raise _line_error(
                 _last_line(text), f"agent {market.agent_name(i)!r} not assigned"
             )
     return Allocation(tuple(assignment))

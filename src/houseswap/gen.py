@@ -19,7 +19,7 @@ for the prefixes the solver actually reads.
 
 Duplication pressure is steered by the house/agent ratio alone: equal
 counts give an injective endowment, smaller house counts give more
-copies per type.
+copies per type.  ``GenParams`` rejects bad knobs with ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -27,12 +27,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .market import Market
+from .market import Market, ValidationError
 from .rng import ShuffledRange, SplitMix64, fisher_yates
-
-
-class InvalidParams(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -47,16 +43,16 @@ class GenParams:
 
     def __post_init__(self) -> None:
         if self.agent_count < 1:
-            raise InvalidParams("agent_count must be at least 1")
+            raise ValidationError("agent_count must be at least 1")
         if self.agent_count > sys.maxsize:
-            raise InvalidParams(f"agent_count must be at most {sys.maxsize}")
+            raise ValidationError(f"agent_count must be at most {sys.maxsize}")
         if not 1 <= self.house_count <= self.agent_count:
-            raise InvalidParams(
+            raise ValidationError(
                 "house_count must be in [1, agent_count], got "
                 f"{self.house_count} with {self.agent_count} agents"
             )
         if not 0 <= self.seed < 1 << 64:
-            raise InvalidParams("seed must be in [0, 2**64)")
+            raise ValidationError("seed must be in [0, 2**64)")
 
 
 def random_market(params: GenParams) -> Market:

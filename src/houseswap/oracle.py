@@ -5,12 +5,12 @@ every feasible allocation, and for each one search every coalition for a
 sub-allocation that redistributes the coalition's own endowment so that
 all members are weakly better off and at least one strictly.  They exist
 to cross-check the polynomial solver, so they share no code with it.
-The CLI's ``oracle`` command runs them; ``verify`` does not, since it
+In the package only the CLI's ``oracle`` command imports them; ``verify``
 reads its blocking coalitions from a solve (``htts.blocking_coalition``).
 
 Everything is capped at a fixed 8 agents (``DEFAULT_CAP``); beyond that
-the search space is unreasonable and callers get ``CapExceeded``.  Only
-``ttc_solve`` takes a ``cap``, so the benchmark can run it at scale.
+the search space is unreasonable and callers get ``ValidationError``.
+Only ``ttc_solve`` takes a ``cap``, so the benchmark can run it at scale.
 """
 
 from __future__ import annotations
@@ -19,18 +19,16 @@ import itertools
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .market import AgentId, Allocation, BlockingCertificate, HouseId, Market
+from .market import (
+    AgentId, Allocation, BlockingCertificate, HouseId, Market, ValidationError
+)
 
 DEFAULT_CAP = 8
 
 
-class CapExceeded(ValueError):
-    """Market is too large for exhaustive enumeration."""
-
-
 def _check_cap(market: Market, cap: int) -> None:
     if market.agent_count > cap:
-        raise CapExceeded(
+        raise ValidationError(
             f"{market.agent_count} agents exceeds enumeration cap {cap}"
         )
 
@@ -173,7 +171,7 @@ def ttc_solve(market: Market, cap: int = DEFAULT_CAP) -> Allocation:
     A market with any other endowment raises ``ValueError``.
 
     TTC runs in polynomial time, but by default it keeps the brute
-    force's 8-agent cap and raises ``CapExceeded`` above it; a large
+    force's 8-agent cap and raises ``ValidationError`` above it; a large
     market passes ``cap=market.agent_count``, as ``perfbench/run.py`` does.
     """
     _check_cap(market, cap)

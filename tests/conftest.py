@@ -8,11 +8,24 @@ builders directly; CLI tests read the same markets from fixture files.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
 
-from houseswap import Market, validate_market
+import pytest
+
+from houseswap import Market, ValidationError, validate_market
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@contextmanager
+def raises_exactly(message: str):
+    """Expect ``ValidationError`` itself, not a subclass, with exactly
+    ``message``: every bad input raises that one class."""
+    with pytest.raises(ValidationError) as info:
+        yield
+    assert type(info.value) is ValidationError
+    assert str(info.value) == message
 
 
 def worked_market() -> Market:

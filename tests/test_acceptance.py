@@ -61,11 +61,13 @@ from houseswap import (
     GenParams,
     OpCounter,
     blocking_coalition,
-    enumerate_feasible_allocations,
-    enumerate_strict_core,
     htts_solve,
     random_market,
     solve_with_tiebreak,
+)
+from houseswap.oracle import (
+    enumerate_feasible_allocations,
+    enumerate_strict_core,
     ttc_solve,
 )
 from reference import (

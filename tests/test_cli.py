@@ -18,7 +18,6 @@ from conftest import FIXTURES
 from houseswap import (
     BlockingCertificate,
     OpCounter,
-    enumerate_feasible_allocations,
     format_segment,
     htts_solve,
     load_market,
@@ -27,6 +26,7 @@ from houseswap import (
     solve_with_tiebreak,
 )
 from houseswap.cli import main
+from houseswap.oracle import enumerate_feasible_allocations
 from reference import check_certificate
 
 WORKED = str(FIXTURES / "worked.market")
@@ -301,7 +301,9 @@ class TestOracle:
         assert main(["gen", "--agents", "9", "--houses", "9", "--seed", "1"]) == 0
         big.write_text(capsys.readouterr().out)
         assert main(["oracle", str(big)]) == 1
-        assert "error:" in capsys.readouterr().err
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: 9 agents exceeds enumeration cap 8\n"
 
 
 class TestGen:
@@ -416,7 +418,9 @@ class TestBench:
         assert main(["bench", "--sizes", "abc"]) == 1
         assert main(["bench", "--sizes", "0"]) == 1
         assert main(["bench", "--sizes", ""]) == 1
-        capsys.readouterr()
+        # A repeated size would print its row twice.
+        assert main(["bench", "--sizes", "10,10", "--ratio", "1"]) == 1
+        assert capsys.readouterr().out == ""
         for option, value in [
             ("--ratio", "nan"),
             ("--ratio", "inf"),
@@ -489,6 +493,10 @@ class TestErrorLines:
             (
                 ["verify", WORKED, str(FIXTURES / "wrong_counts.alloc")],
                 "error: allocation does not match the endowment counts\n",
+            ),
+            (
+                ["bench", "--sizes", "10,10", "--ratio", "1"],
+                "error: invalid size list '10,10'\n",
             ),
         ],
     )

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import sys
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import raises_exactly
 from houseswap import (
     GenParams,
-    InvalidParams,
     load_market,
     random_market,
     serialize_market,
@@ -36,34 +35,38 @@ agent a6 endow h1 prefs h4 h3 h2 h1
 
 class TestGenParams:
     def test_rejects_zero_agents(self):
-        with pytest.raises(InvalidParams):
+        with raises_exactly("agent_count must be at least 1"):
             GenParams(0, 1, 0)
 
     def test_rejects_zero_houses(self):
-        with pytest.raises(InvalidParams):
+        with raises_exactly(
+            "house_count must be in [1, agent_count], got 0 with 3 agents"
+        ):
             GenParams(3, 0, 0)
 
     def test_rejects_more_houses_than_agents(self):
-        with pytest.raises(InvalidParams):
+        with raises_exactly(
+            "house_count must be in [1, agent_count], got 4 with 3 agents"
+        ):
             GenParams(3, 4, 0)
 
     def test_rejects_negative_seed(self):
-        with pytest.raises(InvalidParams):
+        with raises_exactly("seed must be in [0, 2**64)"):
             GenParams(3, 3, -1)
 
     def test_rejects_seed_from_two_to_the_64(self):
         # splitmix64 reduces its seed mod 2**64, so 2**64 would repeat
         # seed 0's market.
         GenParams(5, 3, 2**64 - 1)
-        with pytest.raises(InvalidParams):
+        with raises_exactly("seed must be in [0, 2**64)"):
             GenParams(5, 3, 2**64)
 
     def test_rejects_agent_count_above_maxsize(self):
         # Checked before anything is allocated; a count this large would
         # otherwise overflow list sizes.
-        with pytest.raises(InvalidParams):
+        with raises_exactly(f"agent_count must be at most {sys.maxsize}"):
             GenParams(sys.maxsize + 1, 1, 0)
-        with pytest.raises(InvalidParams):
+        with raises_exactly(f"agent_count must be at most {sys.maxsize}"):
             GenParams(10**20, 10**20, 0)
 
 

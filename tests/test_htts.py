@@ -34,7 +34,6 @@ from houseswap import (
     GenParams,
     OpCounter,
     Segment,
-    enumerate_strict_core,
     format_segment,
     format_trace,
     htts_solve,
@@ -42,6 +41,7 @@ from houseswap import (
     solve_with_tiebreak,
     validate_market,
 )
+from houseswap.oracle import enumerate_strict_core
 from houseswap.rng import _GAMMA, SplitMix64
 from reference import (
     best_house,

@@ -270,18 +270,24 @@ def _outcome(houses, agents, build):
 
 @st.composite
 def market_descriptions(draw):
-    """Up to four distinct house names and up to four agent rows.  Agent
-    names come from a small pool; endowments and ranked names are
-    houses or the unknown ``h9``, and a ranking may be a permutation of
-    the houses or a list of up to one more name than there are houses."""
+    """Up to four distinct house names, now and then followed by one that
+    repeats the first or is not a single token, and up to four agent
+    rows.  Agent names come from a small pool that also holds a name
+    starting with ``#`` and one that is not a single token; endowments
+    and ranked names are houses or the unknown ``h9``, and a ranking may
+    be a permutation of the houses or a list of up to one more name than
+    there are houses."""
     houses = draw(st.lists(st.sampled_from(["h1", "h2", "h3", "h4"]),
                            max_size=4, unique=True))
+    # One list in twelve each: a repeated name, a name of two tokens.
+    houses += draw(st.sampled_from([[]] * 10 + [houses[:1], ["h 5"]]))
     token = st.sampled_from([*houses, "h9"])
     endowment = st.sampled_from(houses) | token if houses else token
     ranking = st.permutations(houses) | st.lists(
         token, max_size=len(houses) + 1
     )
-    rows = st.tuples(st.sampled_from(["a", "b", "c", "d"]), endowment, ranking)
+    agent = st.sampled_from(["a", "b", "c", "d"] * 2 + ["#e", "f g"])
+    rows = st.tuples(agent, endowment, ranking)
     return houses, draw(st.lists(rows, max_size=4))
 
 
