@@ -5,12 +5,19 @@ an empty core or a blocked allocation, 1 for bad input (usage errors,
 unreadable files, out of memory, and any ``ValidationError``: a bad file,
 ``gen`` or ``bench`` value, or ``oracle``'s cap overrun).  Every error is
 one ``error: <message>`` line on stderr.
+
+``gen`` formats its agent lines in forked helpers, one contiguous slice
+of agents per CPU the process may use, on platforms with ``os.fork``;
+its output is byte-identical on any CPU count.  It writes nothing until
+every slice has arrived; a failed helper makes it exit 1 with one error
+line.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from typing import NoReturn
@@ -85,9 +92,83 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 2
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where ``os.sched_getaffinity``
+    or ``os.fork`` is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _slice_text(market: Market, lo: int, hi: int) -> str:
+    """The ``houses:`` line and the lines of agents ``lo`` to ``hi - 1``."""
+    return serialize_market(Market(
+        market.house_names,
+        market.agent_names[lo:hi],
+        market.endowments[lo:hi],
+        market.prefs[lo:hi],
+    ))
+
+
+def _fork_helper(market: Market, lo: int, hi: int) -> tuple[int, int]:
+    """Fork a helper that writes the UTF-8 lines of agents ``lo`` to
+    ``hi - 1`` to a pipe and exits, 0 only if it wrote them all.
+    Returns its pid and the pipe's read end; EOF there means it is done."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            text = _slice_text(market, lo, hi).partition("\n")[2]
+            with open(write_end, "wb") as pipe:
+                pipe.write(text.encode())
+            status = 0
+        finally:
+            os._exit(status)  # never returns into the caller's stack
+    os.close(write_end)
+    return pid, read_end
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
-    params = GenParams(args.agents, args.houses, args.seed)
-    sys.stdout.write(serialize_market(random_market(params)))
+    market = random_market(GenParams(args.agents, args.houses, args.seed))
+    # Agent lines are independent: one contiguous slice per usable CPU,
+    # each after slice 0 formatted in a forked helper.
+    n = market.agent_count
+    slices = min(_usable_cpus(), n)
+    bounds = [n * k // slices for k in range(slices + 1)]
+    helpers: list[tuple[int, int]] = []  # (pid, read end), until reaped
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            helpers.append(_fork_helper(market, lo, hi))
+        parts = [_slice_text(market, 0, bounds[1])]
+        while helpers:
+            pid, read_end = helpers[0]
+            with open(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del helpers[0]
+            os.close(read_end)
+            if status < 0:
+                raise ChildProcessError(f"gen helper killed by signal {-status}")
+            if status:
+                raise ChildProcessError(f"gen helper exited with status {status}")
+            parts.append(data.decode())
+    finally:
+        if helpers:  # a fault: kill and reap every helper still running
+            import signal  # loaded only here, so no other command pays for it
+            for pid, read_end in helpers:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(read_end)
+    # Every slice arrived whole, so stdout gets all of them or nothing.
+    for part in parts:
+        sys.stdout.write(part)
     return 0
 
 
@@ -105,7 +186,7 @@ def _fit_slope(points: list[tuple[int, int]]) -> float | None:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
-        sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+        sizes = [int(tok) for tok in args.sizes.split(",")]
     except ValueError:
         sizes = []
     # A repeated size would print a second row and a second slope point.

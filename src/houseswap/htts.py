@@ -134,7 +134,7 @@ def htts_solve(market: Market, *, counter: OpCounter | None = None) -> SolveOutc
     outcome = _solve(market, None)
     if counter is not None:
         # Kept, accumulating, for perfbench/ only; the benchmark rework
-        # (ROADMAP direction 5) moves it to OpCounter.of and deletes it.
+        # (ROADMAP direction 1) moves it to OpCounter.of and deletes it.
         for name, value in vars(OpCounter.of(market, outcome)).items():
             setattr(counter, name, getattr(counter, name) + value)
     return outcome

@@ -7,9 +7,12 @@ smoke test at the bottom checks the installed entry point end to end.
 from __future__ import annotations
 
 import hashlib
+import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,14 +20,18 @@ import pytest
 from conftest import FIXTURES
 from houseswap import (
     BlockingCertificate,
+    GenParams,
     OpCounter,
     format_segment,
     htts_solve,
     load_market,
     parse_allocation_text,
+    random_market,
     serialize_allocation,
+    serialize_market,
     solve_with_tiebreak,
 )
+from houseswap import cli
 from houseswap.cli import main
 from houseswap.oracle import enumerate_feasible_allocations
 from reference import check_certificate
@@ -379,6 +386,119 @@ class TestGen:
         assert main(["solve", str(path)]) in (0, 2)
 
 
+def assert_no_child_left():
+    # A helper still running reads as (0, 0); a zombie would be reaped.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def patch_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def gen_argv(agents, houses, seed):
+    return ["gen", "--agents", str(agents), "--houses", str(houses),
+            "--seed", str(seed)]
+
+
+class TestGenHelpers:
+    """``gen`` formats one slice of agents per usable CPU, each after
+    the first in a forked helper; its bytes never depend on the count."""
+
+    @pytest.mark.parametrize(
+        "agents, houses, cpus",
+        [
+            # The process's real CPU count; 1201 splits unevenly on two.
+            (1200, 600, None),
+            (1201, 600, None),
+            # Slices of 2, 2 and 3 agents.
+            (7, 3, 3),
+            # Fewer agents than CPUs: one slice per agent.
+            (2, 2, 5),
+            (1, 1, 4),
+        ],
+    )
+    def test_bytes_equal_serialize_market(
+        self, agents, houses, cpus, monkeypatch, capsys
+    ):
+        if cpus is not None:
+            patch_cpus(monkeypatch, cpus)
+        assert main(gen_argv(agents, houses, 13)) == 0
+        expected = serialize_market(random_market(GenParams(agents, houses, 13)))
+        assert capsys.readouterr().out == expected
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("missing", ["one_cpu", "no_fork"])
+    def test_one_slice_does_not_fork(self, missing, monkeypatch, capsys):
+        expected = serialize_market(random_market(GenParams(50, 20, 4)))
+        if missing == "one_cpu":
+            patch_cpus(monkeypatch, 1)
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        else:
+            monkeypatch.delattr(os, "fork")
+        assert main(gen_argv(50, 20, 4)) == 0
+        assert capsys.readouterr().out == expected
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("raise", "error: gen helper exited with status 1\n"),
+            ("kill", "error: gen helper killed by signal 9\n"),
+        ],
+    )
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_failed_helper_is_one_error_line(
+        self, fault, message, cpus, monkeypatch, capsys
+    ):
+        # With three slices the first helper fails and the second, still
+        # running or done, is killed and reaped.
+        parent = os.getpid()
+        serialize = cli.serialize_market
+
+        def failing(market):
+            if os.getpid() != parent:
+                if fault == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("formatter failed")
+            return serialize(market)
+
+        patch_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(cli, "serialize_market", failing)
+        assert main(gen_argv(30, 10, 2)) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == message
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "fault, code", [(KeyboardInterrupt, None), (MemoryError, 1)]
+    )
+    def test_parent_fault_kills_running_helpers(
+        self, fault, code, monkeypatch, capsys
+    ):
+        parent = os.getpid()
+        serialize = cli.serialize_market
+
+        def slow_helpers(market):
+            if os.getpid() == parent:
+                raise fault
+            time.sleep(30)  # only a kill ends this helper early
+            return serialize(market)
+
+        patch_cpus(monkeypatch, 3)
+        monkeypatch.setattr(cli, "serialize_market", slow_helpers)
+        start = time.monotonic()
+        if code is None:
+            with pytest.raises(fault):
+                main(gen_argv(30, 10, 2))
+        else:
+            assert main(gen_argv(30, 10, 2)) == code
+            assert capsys.readouterr() == ("", "error: out of memory\n")
+        assert time.monotonic() - start < 10
+        assert_no_child_left()
+
+
 class TestBench:
     def test_table_shape(self, capsys):
         assert main(["bench", "--sizes", "20,40", "--seed", "1"]) == 0
@@ -497,6 +617,11 @@ class TestErrorLines:
             (
                 ["bench", "--sizes", "10,10", "--ratio", "1"],
                 "error: invalid size list '10,10'\n",
+            ),
+            # An empty token is malformed, not skipped.
+            (
+                ["bench", "--sizes", ",10,,20,", "--ratio", "1"],
+                "error: invalid size list ',10,,20,'\n",
             ),
         ],
     )
