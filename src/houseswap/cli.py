@@ -3,19 +3,24 @@
 Exit codes: 0 for a found allocation or a verified core member, 2 for
 an empty core or a blocked allocation, 1 for bad input (usage errors,
 unreadable files, out of memory, and any ``ValidationError``: a bad file,
-``gen`` or ``bench`` value, or ``oracle``'s cap overrun).  Every error is
-one ``error: <message>`` line on stderr.
+``gen`` or ``bench`` value, or ``oracle``'s cap overrun) and for a failed
+write to stdout, its final flush included, or a closed stdout.  Every
+error is one ``error: <message>`` line on stderr.
 
 ``gen`` formats its agent lines in forked helpers, one contiguous slice
 of agents per CPU the process may use, on platforms with ``os.fork``;
 its output is byte-identical on any CPU count.  It writes nothing until
 every slice has arrived; a failed helper makes it exit 1 with one error
 line.
+
+``run`` is the process entry: once its command has finished it ends the
+process without interpreter teardown.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -296,7 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if sys.stdout is None:  # started with file descriptor 1 closed
+            raise OSError(errno.EBADF, "stdout is closed")
+        code = args.func(args)
+        # A buffered stdout fails here, if at all, with its last write.
+        sys.stdout.flush()
+        return code
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -305,5 +315,22 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """Run ``main`` on the process's arguments and exit with its code.
+
+    Interpreter teardown is skipped: freeing a large market object by
+    object costs more than a small solve, and the OS reclaims the memory
+    anyway.  That is safe because nothing is left to finish: no
+    ``atexit`` handler is registered, every file is closed by its
+    ``with``, ``cmd_gen`` reaps every helper before it returns, and
+    ``main`` has flushed stdout.  Usage errors and ``--help`` still leave
+    through argparse's ``SystemExit``, with nothing large to free.
+    """
+    code = main()
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

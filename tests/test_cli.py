@@ -1,7 +1,8 @@
 """Command-line behavior: exit codes, output contracts, stream routing.
 
-Everything runs in-process through main() for speed; one subprocess
-smoke test at the bottom checks the installed entry point end to end.
+Everything runs in-process through main() for speed; the subprocess
+tests at the bottom run the module entry point end to end, with stdout
+buffered as it is outside a terminal.
 """
 
 from __future__ import annotations
@@ -375,9 +376,7 @@ class TestGen:
             "gen", "--agents", "1200", "--houses", "600", "--seed", "13",
         ]) == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "067bc376bdec5a1ecd9e2ac6b651df04387cbce3a19568f207b1dbd45d2842cb"
-        )
+        assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_GEN_SHA256
 
     def test_gen_then_solve(self, tmp_path, capsys):
         main(["gen", "--agents", "8", "--houses", "8", "--seed", "3"])
@@ -686,22 +685,84 @@ class TestUsageErrors:
         assert capsys.readouterr().out.startswith("usage: houseswap gen")
 
 
-def test_module_entry_point_usage_error():
-    proc = subprocess.run(
-        [sys.executable, "-m", "houseswap", "gen", "--agents", "x"],
-        capture_output=True,
-        text=True,
+# gen's text for 1200x600 seed 13: test_fileformat.py's frozen digest.
+FROZEN_GEN_SHA256 = "067bc376bdec5a1ecd9e2ac6b651df04387cbce3a19568f207b1dbd45d2842cb"
+
+
+def run_entry_point(argv, **kwargs):
+    """``python -m houseswap ARGV`` with a buffered stdout, so its last
+    write happens in the final flush, as under CI or any pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-m", "houseswap", *argv],
+        stderr=subprocess.PIPE, env=env, **kwargs,
     )
+
+
+def test_module_entry_point_usage_error():
+    proc = run_entry_point(["gen", "--agents", "x"], stdout=subprocess.PIPE)
     assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == "error: argument --agents: invalid int value: 'x'\n"
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: argument --agents: invalid int value: 'x'\n"
 
 
 def test_module_entry_point_smoke():
-    proc = subprocess.run(
-        [sys.executable, "-m", "houseswap", "solve", WORKED],
-        capture_output=True,
-        text=True,
+    proc = run_entry_point(["solve", WORKED], stdout=subprocess.PIPE)
+    assert proc.returncode == 0
+    assert proc.stdout.decode() == WORKED_ALLOCATION
+    assert proc.stderr == b""
+
+
+def test_module_entry_point_gen_matches_frozen_digest():
+    # The `file` benchmark's gen child, through the entry point that
+    # skips teardown, into a pipe: every byte must still arrive.
+    proc = run_entry_point(
+        ["gen", "--agents", "1200", "--houses", "600", "--seed", "13"],
+        stdout=subprocess.PIPE,
     )
     assert proc.returncode == 0
-    assert proc.stdout == WORKED_ALLOCATION
+    assert proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == FROZEN_GEN_SHA256
+
+
+# Each command's output fits in stdout's buffer, so only the final
+# flush writes it.
+SMALL_OUTPUT_COMMANDS = [
+    ["solve", WORKED],
+    ["oracle", WORKED],
+    ["bench", "--sizes", "5"],
+    ["gen", "--agents", "1", "--houses", "1"],
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv", SMALL_OUTPUT_COMMANDS, ids=[argv[0] for argv in SMALL_OUTPUT_COMMANDS]
+)
+def test_failed_final_write_is_one_error_line(argv):
+    with open("/dev/full", "wb") as full:
+        proc = run_entry_point(argv, stdout=full)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: [Errno 28] No space left on device\n"
+
+
+def test_write_to_closed_pipe_is_one_error_line():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_entry_point(["solve", WORKED], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve", WORKED], ["bench", "--sizes", "5"]], ids=["solve", "bench"]
+)
+def test_closed_stdout_is_one_error_line(argv):
+    # Started with file descriptor 1 closed, Python sets sys.stdout to
+    # None; print() would then drop its text and report success.
+    proc = run_entry_point(argv, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: [Errno 9] stdout is closed\n"
