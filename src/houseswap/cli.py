@@ -5,7 +5,9 @@ an empty core or a blocked allocation, 1 for bad input (usage errors,
 unreadable files, out of memory, and any ``ValidationError``: a bad file,
 ``gen`` or ``bench`` value, or ``oracle``'s cap overrun) and for a failed
 write to stdout, its final flush included, or a closed stdout.  Every
-error is one ``error: <message>`` line on stderr.
+error is one ``error: <message>`` line on stderr.  A process started
+with stderr closed drops these diagnostics and writes nothing in their
+place; its exit code still reports the outcome.
 
 ``gen`` formats its agent lines in forked helpers, one contiguous slice
 of agents per CPU the process may use, on platforms with ``os.fork``;
@@ -25,7 +27,6 @@ import math
 import os
 import sys
 import time
-from typing import NoReturn
 
 from .fileformat import (
     load_market,
@@ -45,6 +46,13 @@ from .htts import (
 from .market import Market, ValidationError
 
 
+def _eprint(line: str) -> None:
+    """Print ``line`` on stderr, or nothing when the process started with
+    file descriptor 2 closed: ``print`` would send it to stdout."""
+    if sys.stderr is not None:
+        print(line, file=sys.stderr)
+
+
 def _read_market(path: str) -> Market:
     return load_market(read_text(path))
 
@@ -58,13 +66,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if outcome.core_found:
         sys.stdout.write(serialize_allocation(market, outcome.allocation))
     else:
-        print(f"EMPTY CORE at step {outcome.failed_step}", file=sys.stderr)
+        _eprint(f"EMPTY CORE at step {outcome.failed_step}")
     if args.trace and outcome.trace:
-        print(format_trace(market, outcome.trace), file=sys.stderr)
+        _eprint(format_trace(market, outcome.trace))
     if args.stats:
         c = OpCounter.of(market, outcome)
         feas = c.feasibility_comparisons
-        print(f"arcs={c.arcs_built} scc={c.scc_work} feas={feas}", file=sys.stderr)
+        _eprint(f"arcs={c.arcs_built} scc={c.scc_work} feas={feas}")
     return 0 if outcome.core_found else 2
 
 
@@ -93,7 +101,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if core:
         sys.stdout.write(serialize_allocation(market, core[0]))
         return 0
-    print("EMPTY CORE", file=sys.stderr)
+    _eprint("EMPTY CORE")
     return 2
 
 
@@ -247,7 +255,7 @@ class _Parser(argparse.ArgumentParser):
     input; argparse's own exit 2 would read as an empty core.  Subparsers
     are built from the same class, so they inherit this."""
 
-    def error(self, message: str) -> NoReturn:
+    def error(self, message: str) -> None:  # never returns
         self.exit(1, f"error: {message}\n")
 
 
@@ -308,14 +316,14 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _eprint(f"error: {exc}")
         return 1
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
+        _eprint("error: out of memory")
         return 1
 
 
-def run() -> NoReturn:
+def run() -> None:  # never returns
     """Run ``main`` on the process's arguments and exit with its code.
 
     Interpreter teardown is skipped: freeing a large market object by

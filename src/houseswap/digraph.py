@@ -24,8 +24,8 @@ is fully deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from itertools import islice
-from typing import Callable, Sequence
 
 
 def scc_components(

@@ -25,34 +25,33 @@ copies per type.  ``GenParams`` rejects bad knobs with ``ValidationError``.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
-from .market import Market, ValidationError
+from .market import Market, ValidationError, _Record, _setfield
 from .rng import ShuffledRange, SplitMix64, fisher_yates
 
 
-@dataclass(frozen=True)
-class GenParams:
+class GenParams(_Record):
     """Generation knobs; ``1 <= house_count <= agent_count <= sys.maxsize``
     and ``0 <= seed < 2**64`` required (splitmix64 would reduce a larger
     seed mod 2**64 and repeat another seed's market)."""
 
-    agent_count: int
-    house_count: int
-    seed: int
+    _fields = ("agent_count", "house_count", "seed")
 
-    def __post_init__(self) -> None:
-        if self.agent_count < 1:
+    def __init__(self, agent_count: int, house_count: int, seed: int) -> None:
+        if agent_count < 1:
             raise ValidationError("agent_count must be at least 1")
-        if self.agent_count > sys.maxsize:
+        if agent_count > sys.maxsize:
             raise ValidationError(f"agent_count must be at most {sys.maxsize}")
-        if not 1 <= self.house_count <= self.agent_count:
+        if not 1 <= house_count <= agent_count:
             raise ValidationError(
                 "house_count must be in [1, agent_count], got "
-                f"{self.house_count} with {self.agent_count} agents"
+                f"{house_count} with {agent_count} agents"
             )
-        if not 0 <= self.seed < 1 << 64:
+        if not 0 <= seed < 1 << 64:
             raise ValidationError("seed must be in [0, 2**64)")
+        _setfield(self, "agent_count", agent_count)
+        _setfield(self, "house_count", house_count)
+        _setfield(self, "seed", seed)
 
 
 def random_market(params: GenParams) -> Market:

@@ -48,36 +48,64 @@ that allocation departs from the trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .digraph import scc_components
-from .market import AgentId, Allocation, BlockingCertificate, HouseId, Market
+from .market import (
+    AgentId,
+    Allocation,
+    BlockingCertificate,
+    HouseId,
+    Market,
+    _Record,
+    _setfield,
+)
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True, slots=True)
-class Segment:
+class Segment(_Record):
     """One solver step: a sink SCC of house types, its owners, their
     assignments, whether supply met demand, and the vertices and arcs
     the step's search touched, which equality ignores."""
 
-    step: int
-    houses: tuple[HouseId, ...]
-    owners: tuple[AgentId, ...]
-    assignment: Mapping[AgentId, HouseId]
-    feasible: bool
-    visited: int = field(compare=False)
-    scanned: int = field(compare=False)
+    _fields = (
+        "step", "houses", "owners", "assignment", "feasible", "visited", "scanned"
+    )
+    __slots__ = _fields
+
+    def __init__(
+        self,
+        step: int,
+        houses: tuple[HouseId, ...],
+        owners: tuple[AgentId, ...],
+        assignment: Mapping[AgentId, HouseId],
+        feasible: bool,
+        visited: int,
+        scanned: int,
+    ) -> None:
+        _setfield(self, "step", step)
+        _setfield(self, "houses", houses)
+        _setfield(self, "owners", owners)
+        _setfield(self, "assignment", assignment)
+        _setfield(self, "feasible", feasible)
+        _setfield(self, "visited", visited)
+        _setfield(self, "scanned", scanned)
+
+    def _key(self) -> tuple[object, ...]:
+        return self.step, self.houses, self.owners, self.assignment, self.feasible
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(_Record):
     """Result of a solve: its segment trace, and the allocation, or
     ``None`` when the core is empty and the last segment is infeasible."""
 
-    allocation: Allocation | None
-    trace: tuple[Segment, ...]
+    _fields = ("allocation", "trace")
+
+    def __init__(
+        self, allocation: Allocation | None, trace: tuple[Segment, ...]
+    ) -> None:
+        _setfield(self, "allocation", allocation)
+        _setfield(self, "trace", trace)
 
     @property
     def core_found(self) -> bool:
@@ -89,7 +117,6 @@ class SolveOutcome:
         return None if self.core_found else len(self.trace)
 
 
-@dataclass
 class OpCounter:
     """Operation counts of a solve, derived from its trace by ``of``.
 
@@ -103,9 +130,21 @@ class OpCounter:
     for a given market and tie-break seed, unlike wall time.
     """
 
-    arcs_built: int = 0
-    scc_work: int = 0
-    feasibility_comparisons: int = 0
+    def __init__(
+        self, arcs_built: int = 0, scc_work: int = 0, feasibility_comparisons: int = 0
+    ) -> None:
+        self.arcs_built = arcs_built
+        self.scc_work = scc_work
+        self.feasibility_comparisons = feasibility_comparisons
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        counts = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"OpCounter({counts})"
 
     @classmethod
     def of(cls, market: Market, outcome: SolveOutcome) -> OpCounter:

@@ -12,9 +12,8 @@ only in the symbol tables carried by :class:`Market`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 HouseId = int
 AgentId = int
@@ -25,8 +24,55 @@ class ValidationError(ValueError):
     message names the first fault."""
 
 
-@dataclass(frozen=True)
-class Market:
+# How a record's __init__ writes its fields past the refusing __setattr__.
+_setfield = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable records.
+
+    ``_fields`` names a record's constructor arguments in order; its
+    ``__init__`` writes them with ``_setfield``.  Two records are equal
+    when they are of one class and their ``_key``s match, and hash reads
+    ``_key`` too; repr shows every field.  No attribute can be assigned
+    or deleted after construction, yet a ``cached_property`` still
+    caches: it writes the instance dict directly.  Copies and pickles
+    rebuild a record through its constructor.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple[object, ...]:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    _key = _values  # what equality and hash read; Segment's is narrower
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self._values())
+        )
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        return type(self), self._values()
+
+
+class Market(_Record):
     """A validated market.
 
     ``endowments[i]`` is the house type agent ``i`` owns; ``prefs[i]`` is
@@ -41,10 +87,19 @@ class Market:
     trusts its arguments.
     """
 
-    house_names: tuple[str, ...]
-    agent_names: tuple[str, ...]
-    endowments: tuple[HouseId, ...]
-    prefs: tuple[Sequence[HouseId], ...]
+    _fields = ("house_names", "agent_names", "endowments", "prefs")
+
+    def __init__(
+        self,
+        house_names: tuple[str, ...],
+        agent_names: tuple[str, ...],
+        endowments: tuple[HouseId, ...],
+        prefs: tuple[Sequence[HouseId], ...],
+    ) -> None:
+        _setfield(self, "house_names", house_names)
+        _setfield(self, "agent_names", agent_names)
+        _setfield(self, "endowments", endowments)
+        _setfield(self, "prefs", prefs)
 
     @property
     def house_count(self) -> int:
@@ -105,11 +160,13 @@ class Market:
         assert all(self.owners_by_house[h] for h in range(hc))
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(_Record):
     """Assignment of every agent to a house type, indexed by agent id."""
 
-    assignment: tuple[HouseId, ...]
+    _fields = ("assignment",)
+
+    def __init__(self, assignment: tuple[HouseId, ...]) -> None:
+        _setfield(self, "assignment", assignment)
 
     def __getitem__(self, agent: AgentId) -> HouseId:
         return self.assignment[agent]
@@ -118,8 +175,7 @@ class Allocation:
         return len(self.assignment)
 
 
-@dataclass(frozen=True)
-class BlockingCertificate:
+class BlockingCertificate(_Record):
     """A coalition and sub-allocation witnessing a strict-core violation.
 
     The sub-allocation redistributes exactly the coalition's endowment
@@ -127,8 +183,15 @@ class BlockingCertificate:
     at least one strictly improves.
     """
 
-    coalition: tuple[AgentId, ...]
-    sub_allocation: Mapping[AgentId, HouseId]
+    _fields = ("coalition", "sub_allocation")
+
+    def __init__(
+        self,
+        coalition: tuple[AgentId, ...],
+        sub_allocation: Mapping[AgentId, HouseId],
+    ) -> None:
+        _setfield(self, "coalition", coalition)
+        _setfield(self, "sub_allocation", sub_allocation)
 
 
 def validate_market(

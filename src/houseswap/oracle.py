@@ -16,8 +16,8 @@ Only ``ttc_solve`` takes a ``cap``, so the benchmark can run it at scale.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from typing import Iterator, Sequence
 
 from .market import (
     AgentId, Allocation, BlockingCertificate, HouseId, Market, ValidationError

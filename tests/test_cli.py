@@ -766,3 +766,35 @@ def test_closed_stdout_is_one_error_line(argv):
     proc = run_entry_point(argv, preexec_fn=lambda: os.close(1))
     assert proc.returncode == 1
     assert proc.stderr == b"error: [Errno 9] stdout is closed\n"
+
+
+# A launcher that closes file descriptor 2 and then becomes
+# ``python -m houseswap ARGV``; a shell's ``2>&-`` may not reach Python
+# itself when a wrapper script stands in for the interpreter.
+CLOSED_STDERR_LAUNCHER = (
+    "import os, sys; os.close(2); "
+    "os.execv(sys.executable, [sys.executable, '-m', 'houseswap', *sys.argv[1:]])"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout",
+    [
+        (["solve", EMPTY_CORE], 2, ""),
+        (["solve", "/nonexistent"], 1, ""),
+        (["solve", WORKED, "--stats"], 0, WORKED_ALLOCATION),
+    ],
+    ids=["empty-core", "missing-file", "stats"],
+)
+def test_closed_stderr_drops_diagnostics(argv, code, stdout):
+    # Started with file descriptor 2 closed, Python sets sys.stderr to
+    # None, and print(..., file=None) would write to stdout instead.
+    # Unbuffered, so a stray write shows even on a path that exits
+    # without flushing stdout.
+    env = {**os.environ, "PYTHONUNBUFFERED": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", CLOSED_STDERR_LAUNCHER, *argv],
+        stdout=subprocess.PIPE, env=env,
+    )
+    assert proc.returncode == code
+    assert proc.stdout.decode() == stdout

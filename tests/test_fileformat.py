@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import re
 import tracemalloc
@@ -15,6 +14,7 @@ from conftest import FIXTURES, raises_exactly, worked_market
 from houseswap import (
     Allocation,
     GenParams,
+    Market,
     ValidationError,
     fileformat,
     htts_solve,
@@ -376,7 +376,9 @@ def eager_text():
         scalar_fisher_yates(list(range(p.n)), ScalarSplitMix64(p.seed))
         for p in m.prefs
     )
-    return serialize_market(dataclasses.replace(m, prefs=prefs))
+    return serialize_market(
+        Market(m.house_names, m.agent_names, m.endowments, prefs)
+    )
 
 
 def _read_half_of_each(m):

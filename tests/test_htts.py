@@ -15,7 +15,6 @@ reference.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
@@ -32,8 +31,10 @@ from conftest import (
 )
 from houseswap import (
     GenParams,
+    Market,
     OpCounter,
     Segment,
+    SolveOutcome,
     format_segment,
     format_trace,
     htts_solve,
@@ -384,18 +385,27 @@ class TestMatchesRebuild:
             assert_matches_rebuild(market, tiebreak_seed)
 
 
+def _with_first(out, first):
+    """``out`` with its first segment replaced by ``first``."""
+    return SolveOutcome(out.allocation, (first, *out.trace[1:]))
+
+
 def _flip_first_flag(m, out):
-    first = dataclasses.replace(out.trace[0], feasible=False)
-    return dataclasses.replace(out, trace=(first, *out.trace[1:]))
+    s = out.trace[0]
+    first = Segment(
+        s.step, s.houses, s.owners, s.assignment, False, s.visited, s.scanned
+    )
+    return _with_first(out, first)
 
 
 def _drop_an_owner(m, out):
-    first = out.trace[0]
-    kept = first.owners[1:]
-    first = dataclasses.replace(
-        first, owners=kept, assignment={i: first.assignment[i] for i in kept}
+    s = out.trace[0]
+    kept = s.owners[1:]
+    first = Segment(
+        s.step, s.houses, kept, {i: s.assignment[i] for i in kept},
+        s.feasible, s.visited, s.scanned,
     )
-    return dataclasses.replace(out, trace=(first, *out.trace[1:]))
+    return _with_first(out, first)
 
 
 def _merge_segments(m, out):
@@ -413,12 +423,15 @@ def _merge_segments(m, out):
         visited=m.house_count,
         scanned=m.agent_count,
     )
-    return dataclasses.replace(out, trace=(merged,))
+    return SolveOutcome(out.allocation, (merged,))
 
 
 def _scan_nothing(m, out):
-    first = dataclasses.replace(out.trace[0], scanned=0)
-    return dataclasses.replace(out, trace=(first, *out.trace[1:]))
+    s = out.trace[0]
+    first = Segment(
+        s.step, s.houses, s.owners, s.assignment, s.feasible, s.visited, 0
+    )
+    return _with_first(out, first)
 
 
 class TestCheckTrace:
@@ -510,7 +523,9 @@ def _permute_tails(market, rnd):
         tail = ranking[cut:]
         rnd.shuffle(tail)
         prefs.append((*ranking[:cut], *tail))
-    return dataclasses.replace(market, prefs=tuple(prefs))
+    return Market(
+        market.house_names, market.agent_names, market.endowments, tuple(prefs)
+    )
 
 
 def _solve_record(market, tiebreak_seed):
