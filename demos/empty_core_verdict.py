@@ -10,7 +10,7 @@ a supply/demand mismatch inside the very first trading segment.
 
 from houseswap import (
     blocking_coalition,
-    format_segment,
+    format_trace,
     htts_solve,
     validate_market,
 )
@@ -27,10 +27,11 @@ market = validate_market(
 )
 
 # The verdict comes back negative, with the failing step identified.
+# The trace ends at that step's segment, here the only one.
 outcome = htts_solve(market)
 print("strict core exists:", outcome.core_found)
 print("failed at step:", outcome.failed_step)
-print(format_segment(market, outcome.trace[-1]))
+print(format_trace(market, outcome.trace))
 print()
 
 # Both owners of h1 demand the lone h2: demand 2, supply 1.  The trace

@@ -9,7 +9,7 @@ must reproduce that answer exactly, because a cycle is just a strongly
 connected component in which supply and demand are both 1 everywhere.
 """
 
-from houseswap import GenParams, htts_solve, random_market
+from houseswap import GenParams, format_trace, htts_solve, random_market
 from houseswap.oracle import ttc_solve
 
 # house_count == agent_count makes the generated endowment injective.
@@ -33,6 +33,4 @@ print("200 injective markets: segment solver matched top trading cycles")
 market = random_market(GenParams(6, 6, 11))
 outcome = htts_solve(market)
 print("steps for one 6-agent market:", len(outcome.trace))
-for segment in outcome.trace:
-    houses = ",".join(market.house_name(h) for h in segment.houses)
-    print(f"  step {segment.step}: {{{houses}}}")
+print(format_trace(market, outcome.trace))

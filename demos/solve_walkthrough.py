@@ -8,7 +8,7 @@ at each step and the final allocation.
 """
 
 from houseswap import (
-    format_segment,
+    format_trace,
     htts_solve,
     serialize_allocation,
     validate_market,
@@ -38,8 +38,7 @@ print()
 # The trace records every segment in order.  Agents 4 and 5 trade first:
 # agent 3 points from h2 into h3, but no arc leaves {h3, h4}, so that
 # pair settles on its own before anyone touches h1 or h2.
-for segment in outcome.trace:
-    print(format_segment(market, segment))
+print(format_trace(market, outcome.trace))
 print()
 
 # Everyone ends up with their favorite house among those still on the

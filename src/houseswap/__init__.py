@@ -15,7 +15,6 @@ oracle for small markets and classic TTC for injective endowments.
 from .fileformat import (
     load_market,
     parse_allocation_text,
-    parse_market_text,
     serialize_allocation,
     serialize_market,
 )
@@ -25,7 +24,6 @@ from .htts import (
     Segment,
     SolveOutcome,
     blocking_coalition,
-    format_segment,
     format_trace,
     htts_solve,
     solve_with_tiebreak,
@@ -48,12 +46,10 @@ __all__ = [
     "SolveOutcome",
     "ValidationError",
     "blocking_coalition",
-    "format_segment",
     "format_trace",
     "htts_solve",
     "load_market",
     "parse_allocation_text",
-    "parse_market_text",
     "random_market",
     "serialize_allocation",
     "serialize_market",

@@ -10,10 +10,11 @@ with stderr closed drops these diagnostics and writes nothing in their
 place; its exit code still reports the outcome.
 
 ``gen`` formats its agent lines in forked helpers, one contiguous slice
-of agents per CPU the process may use, on platforms with ``os.fork``;
-its output is byte-identical on any CPU count.  It writes nothing until
-every slice has arrived; a failed helper makes it exit 1 with one error
-line.
+of agents per CPU the process may use, where ``os.fork`` and
+``os.sched_getaffinity`` both exist (not on macOS, which lacks the
+second and so formats them serially); its output is byte-identical on
+any CPU count.  It writes nothing until every slice has arrived; a
+failed helper makes it exit 1 with one error line.
 
 ``run`` is the process entry: once its command has finished it ends the
 process without interpreter teardown.

@@ -321,17 +321,19 @@ def blocking_coalition(
     return None
 
 
-def format_segment(market: Market, segment: Segment) -> str:
-    """Render one trace line:
+def format_trace(market: Market, trace: Iterable[Segment]) -> str:
+    """Render a trace as ``solve --trace`` prints it, one line per
+    segment and no newline after the last:
     ``step=<d> houses={...} owners={...} feasible=<true|false>``.
 
     Sets use symbol-table names in ascending internal id order.
     """
-    houses = ",".join(market.house_name(h) for h in segment.houses)
-    owners = ",".join(market.agent_name(i) for i in segment.owners)
-    flag = "true" if segment.feasible else "false"
-    return f"step={segment.step} houses={{{houses}}} owners={{{owners}}} feasible={flag}"
-
-
-def format_trace(market: Market, trace: Iterable[Segment]) -> str:
-    return "\n".join(format_segment(market, seg) for seg in trace)
+    lines = []
+    for seg in trace:
+        houses = ",".join(market.house_name(h) for h in seg.houses)
+        owners = ",".join(market.agent_name(i) for i in seg.owners)
+        flag = "true" if seg.feasible else "false"
+        lines.append(
+            f"step={seg.step} houses={{{houses}}} owners={{{owners}}} feasible={flag}"
+        )
+    return "\n".join(lines)

@@ -4,6 +4,8 @@ The two hand-built markets here are the suite's workhorses: a five-agent
 market whose unique strict-core allocation is known in full, and a
 three-agent market whose strict core is empty.  Unit tests import the
 builders directly; CLI tests read the same markets from fixture files.
+The chain, path and wide-cycle families scale with a parameter: they
+drive the solver's quadratic counts, or an agent-level search's.
 """
 
 from __future__ import annotations
@@ -86,3 +88,41 @@ def two_swap_pairs_market() -> Market:
             ("4", "h4", ["h3", "h4", "h1", "h2"]),
         ],
     )
+
+
+def chain_market(house_count: int) -> Market:
+    """One owner per type and one ranking for all: each step's only sink
+    is the top remaining type, so the solve takes one step per type and
+    the owner of h_k advances its cursor k times."""
+    houses = [f"h{h}" for h in range(house_count)]
+    return validate_market(
+        houses, [(f"a{h}", houses[h], houses) for h in range(house_count)]
+    )
+
+
+def path_market(house_count: int) -> Market:
+    """One owner per type; the owner of h_k ranks h_{k+1} .. h_{H-1},
+    then h_k, then h_0 .. h_{k-1}.  Each step's search from h_0 walks the
+    whole remaining path to its last type, the step's only sink."""
+    houses = [f"h{h}" for h in range(house_count)]
+    return validate_market(
+        houses,
+        [
+            (f"a{k}", houses[k], houses[k + 1:] + [houses[k]] + houses[:k])
+            for k in range(house_count)
+        ],
+    )
+
+
+def wide_cycle_market(copies: int) -> Market:
+    """20 types with ``copies`` owners each; every owner of h_k ranks
+    h_{k+1 mod 20} first and the rest ascending.  The types form one
+    cycle, a single feasible segment, while an agent-level graph has
+    ``copies`` arcs out of every agent."""
+    houses = [f"h{h}" for h in range(20)]
+    agents = []
+    for k, house in enumerate(houses):
+        top = houses[(k + 1) % 20]
+        ranking = [top] + [h for h in houses if h != top]
+        agents += [(f"a{k}_{c}", house, ranking) for c in range(copies)]
+    return validate_market(houses, agents)

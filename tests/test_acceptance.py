@@ -1,4 +1,4 @@
-"""Acceptance gate: seven instrumented criteria, one printed line each.
+"""Acceptance gate: eight instrumented criteria, one printed line each.
 
 Run ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass/fail lines (without ``-s`` pytest shows them only on failure).
@@ -42,20 +42,36 @@ pass/fail lines (without ``-s`` pytest shows them only on failure).
    types and a planted core of 500 segments (``perfbench/planted.py``)
    finds that core in exactly 500 steps, under tie-break seed 1 too, and
    the two solves take under C7_PLANTED_BOUND_S seconds together.
+8. Square time in the multi-step regime, where criterion 4's one-step
+   markets never go.  On the chain and path families at H = 250, 500
+   and 1000 (one owner per type, H steps), the fitted log-log slopes of
+   the cursor advances and of ``scc_work`` are at most 2.3, and the
+   count each family drives has a slope of at least 1.7: advances on
+   chain, ``scc_work`` on path.  On the 20-type wide cycle at 500, 1000
+   and 2000 agents the solver's ``scc_work`` is the same at every size,
+   while ``segmentation_core``, which returns the same allocation,
+   searches an agent-level graph whose work has a slope of at least
+   1.7.  Every slope is printed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib.util
-import math
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from conftest import WORKED_ASSIGNMENT, worked_market
+import reference
+from conftest import (
+    WORKED_ASSIGNMENT,
+    chain_market,
+    path_market,
+    wide_cycle_market,
+    worked_market,
+)
 from houseswap import (
     Allocation,
     GenParams,
@@ -65,6 +81,7 @@ from houseswap import (
     random_market,
     solve_with_tiebreak,
 )
+from houseswap.cli import _fit_slope
 from houseswap.oracle import (
     enumerate_feasible_allocations,
     enumerate_strict_core,
@@ -284,17 +301,84 @@ def test_criterion_4_operation_scaling():
             market = random_market(GenParams(2 * houses, houses, 0))
             counts = OpCounter.of(market, htts_solve(market))
             points.append((houses, counts.total()))
-        xs = [math.log(h) for h, _ in points]
-        ys = [math.log(t) for _, t in points]
-        mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-        slope = sum(
-            (x - mx) * (y - my) for x, y in zip(xs, ys)
-        ) / sum((x - mx) ** 2 for x in xs)
+        slope = _fit_slope(points)
         assert slope <= 2.3
 
         big = random_market(GenParams(100_000, 50_000, 7))
         elapsed = _timed(lambda: htts_solve(big))
         assert elapsed < 10
+
+
+def _cursor_advances(m, out) -> int:
+    """Cursor advances of a solve that found a core: each agent's cursor
+    ends at the rank of the type it is assigned."""
+    return sum(
+        m.prefs[i].index(h) for i, h in enumerate(out.allocation.assignment)
+    )
+
+
+def test_criterion_8_square_time(monkeypatch):
+    with criterion("8 square time in the multi-step regime"):
+        # Chain and path, one owner per type: each solve takes H steps.
+        # Each family drives one count quadratic and keeps both at most
+        # square.
+        for name, build, driven in (
+            ("chain", chain_market, "advances"),
+            ("path", path_market, "scc_work"),
+        ):
+            advances, scc_work = [], []
+            for houses in (250, 500, 1000):
+                m = build(houses)
+                out = htts_solve(m)
+                assert out.core_found and len(out.trace) == houses
+                advances.append((houses, _cursor_advances(m, out)))
+                scc_work.append((houses, OpCounter.of(m, out).scc_work))
+            slopes = {
+                "advances": _fit_slope(advances),
+                "scc_work": _fit_slope(scc_work),
+            }
+            print(
+                f"\n  {name}: advances slope {slopes['advances']:.3f}, "
+                f"scc_work slope {slopes['scc_work']:.3f}"
+            )
+            assert max(slopes.values()) <= 2.3
+            assert slopes[driven] >= 1.7
+
+        # Wide cycle, 20 types: the solver's search reads 20 rows however
+        # many agents own them, while segmentation_core's agent-level
+        # search, counted by a wrapper, reads every copy of every
+        # favourite.
+        search_work = 0
+        first_sink = reference._first_sink_component
+
+        def counted_first_sink(root, successors):
+            def counted_successors(v):
+                nonlocal search_work
+                arcs = successors(v)
+                search_work += 1 + len(arcs)
+                return arcs
+
+            return first_sink(root, counted_successors)
+
+        monkeypatch.setattr(
+            reference, "_first_sink_component", counted_first_sink
+        )
+        solver_work, reference_work = [], []
+        for copies in (25, 50, 100):  # 500, 1000 and 2000 agents
+            m = wide_cycle_market(copies)
+            out = htts_solve(m)
+            search_work = 0
+            assert segmentation_core(m) == out.allocation.assignment
+            solver_work.append((m.agent_count, OpCounter.of(m, out).scc_work))
+            reference_work.append((m.agent_count, search_work))
+        solver_slope = _fit_slope(solver_work)
+        reference_slope = _fit_slope(reference_work)
+        print(
+            f"\n  wide cycle: scc_work slope {solver_slope:.3f}, "
+            f"reference search slope {reference_slope:.3f}"
+        )
+        assert len({work for _, work in solver_work}) == 1
+        assert reference_slope >= 1.7
 
 
 def test_criterion_7_multistep_at_scale():

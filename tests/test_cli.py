@@ -23,7 +23,7 @@ from houseswap import (
     BlockingCertificate,
     GenParams,
     OpCounter,
-    format_segment,
+    format_trace,
     htts_solve,
     load_market,
     parse_allocation_text,
@@ -134,7 +134,7 @@ class TestSolve:
             f"EMPTY CORE at step {outcome.failed_step}"
         ]
         if "--trace" in flags:
-            expected += [format_segment(market, seg) for seg in outcome.trace]
+            expected += format_trace(market, outcome.trace).splitlines()
         if "--stats" in flags:
             expected.append(
                 f"arcs={counter.arcs_built} scc={counter.scc_work} "

@@ -20,12 +20,12 @@ from houseswap import (
     htts_solve,
     load_market,
     parse_allocation_text,
-    parse_market_text,
     random_market,
     serialize_allocation,
     serialize_market,
     validate_market,
 )
+from houseswap.fileformat import parse_market_text
 from houseswap.rng import ShuffledRange
 from reference import ScalarSplitMix64, scalar_fisher_yates
 from test_market import FAULTS, VALIDATION_CASES, fault_of

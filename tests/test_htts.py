@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import houseswap.htts
 from conftest import (
     WORKED_ASSIGNMENT,
+    chain_market,
     empty_core_market,
     minimal_market,
     two_swap_pairs_market,
@@ -35,7 +36,6 @@ from houseswap import (
     OpCounter,
     Segment,
     SolveOutcome,
-    format_segment,
     format_trace,
     htts_solve,
     random_market,
@@ -249,15 +249,6 @@ class TestTiebreak:
         for m in (empty_core_market(), two_step_empty_core_market()):
             for seed in range(8):
                 assert not solve_with_tiebreak(m, seed).core_found
-
-
-def chain_market(house_count):
-    """One owner per type and one ranking for all: each step's only sink
-    is the top remaining type, so the solve takes one step per type."""
-    houses = [f"h{h}" for h in range(house_count)]
-    return validate_market(
-        houses, [(f"a{h}", houses[h], houses) for h in range(house_count)]
-    )
 
 
 def assert_steps_from_scratch(market, out):
@@ -602,6 +593,6 @@ class TestTraceRendering:
     def test_infeasible_segment_line(self):
         m = empty_core_market()
         out = htts_solve(m)
-        assert format_segment(m, out.trace[0]) == (
+        assert format_trace(m, out.trace) == (
             "step=1 houses={h1,h2} owners={1,2,3} feasible=false"
         )
