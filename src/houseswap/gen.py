@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import sys
 
-from .market import Market, ValidationError, _Record, _setfield
+from .market import Market, ValidationError, _Record
 from .rng import ShuffledRange, SplitMix64, fisher_yates
 
 
 class GenParams(_Record):
-    """Generation knobs; ``1 <= house_count <= agent_count <= sys.maxsize``
-    and ``0 <= seed < 2**64`` required (splitmix64 would reduce a larger
-    seed mod 2**64 and repeat another seed's market)."""
+    """Generation knobs ``agent_count``, ``house_count`` and ``seed``;
+    ``1 <= house_count <= agent_count <= sys.maxsize`` and ``0 <= seed <
+    2**64`` required (splitmix64 would reduce a larger seed mod 2**64 and
+    repeat another seed's market)."""
 
     _fields = ("agent_count", "house_count", "seed")
 
@@ -49,9 +50,7 @@ class GenParams(_Record):
             )
         if not 0 <= seed < 1 << 64:
             raise ValidationError("seed must be in [0, 2**64)")
-        _setfield(self, "agent_count", agent_count)
-        _setfield(self, "house_count", house_count)
-        _setfield(self, "seed", seed)
+        super().__init__(agent_count, house_count, seed)
 
 
 def random_market(params: GenParams) -> Market:

@@ -48,7 +48,7 @@ that allocation departs from the trace.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 
 from .digraph import scc_components
 from .market import (
@@ -58,54 +58,32 @@ from .market import (
     HouseId,
     Market,
     _Record,
-    _setfield,
 )
 from .rng import SplitMix64
 
 
 class Segment(_Record):
-    """One solver step: a sink SCC of house types, its owners, their
-    assignments, whether supply met demand, and the vertices and arcs
-    the step's search touched, which equality ignores."""
+    """One solver step: its ``step`` number from 1, the sink SCC's
+    ``houses``, their ``owners``, the ``assignment`` of each owner to a
+    type, whether supply met demand (``feasible``), and the vertices
+    (``visited``) and arcs (``scanned``) the step's search touched."""
 
     _fields = (
         "step", "houses", "owners", "assignment", "feasible", "visited", "scanned"
     )
     __slots__ = _fields
 
-    def __init__(
-        self,
-        step: int,
-        houses: tuple[HouseId, ...],
-        owners: tuple[AgentId, ...],
-        assignment: Mapping[AgentId, HouseId],
-        feasible: bool,
-        visited: int,
-        scanned: int,
-    ) -> None:
-        _setfield(self, "step", step)
-        _setfield(self, "houses", houses)
-        _setfield(self, "owners", owners)
-        _setfield(self, "assignment", assignment)
-        _setfield(self, "feasible", feasible)
-        _setfield(self, "visited", visited)
-        _setfield(self, "scanned", scanned)
-
     def _key(self) -> tuple[object, ...]:
-        return self.step, self.houses, self.owners, self.assignment, self.feasible
+        # The first five fields: equality ignores the search counts.
+        return self._values()[:5]
 
 
 class SolveOutcome(_Record):
-    """Result of a solve: its segment trace, and the allocation, or
-    ``None`` when the core is empty and the last segment is infeasible."""
+    """Result of a solve: the ``allocation``, or ``None`` when the core
+    is empty and the last segment is infeasible, and the segment
+    ``trace``."""
 
     _fields = ("allocation", "trace")
-
-    def __init__(
-        self, allocation: Allocation | None, trace: tuple[Segment, ...]
-    ) -> None:
-        _setfield(self, "allocation", allocation)
-        _setfield(self, "trace", trace)
 
     @property
     def core_found(self) -> bool:
@@ -253,16 +231,16 @@ def _solve(market: Market, tiebreak_rng: SplitMix64 | None) -> SolveOutcome:
         )
 
         seg_owners.sort()
-        segment = Segment(
-            step=len(trace) + 1,
-            houses=tuple(seg_houses),
-            owners=tuple(seg_owners),
-            assignment={i: targets[i] for i in seg_owners},
-            feasible=feasible,
-            visited=visited,
-            scanned=scanned,
-        )
-        trace.append(segment)
+        # By position: the record constructor's cheapest call.
+        trace.append(Segment(
+            len(trace) + 1,
+            tuple(seg_houses),
+            tuple(seg_owners),
+            {i: targets[i] for i in seg_owners},
+            feasible,
+            visited,
+            scanned,
+        ))
         for h in seg_houses:
             alive[h] = 0
         live_houses -= len(seg_houses)

@@ -12,7 +12,7 @@ only in the symbol tables carried by :class:`Market`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 
 HouseId = int
@@ -24,24 +24,45 @@ class ValidationError(ValueError):
     message names the first fault."""
 
 
-# How a record's __init__ writes its fields past the refusing __setattr__.
+# How the record constructor writes fields past the refusing __setattr__.
 _setfield = object.__setattr__
 
 
 class _Record:
     """Base of the package's immutable records.
 
-    ``_fields`` names a record's constructor arguments in order; its
-    ``__init__`` writes them with ``_setfield``.  Two records are equal
+    ``_fields`` names a record's fields in order, once: the one
+    constructor takes their values by position or by keyword, raises
+    ``TypeError`` for a missing, extra, repeated or unknown argument,
+    and writes each value with ``_setfield``.  Two records are equal
     when they are of one class and their ``_key``s match, and hash reads
     ``_key`` too; repr shows every field.  No attribute can be assigned
     or deleted after construction, yet a ``cached_property`` still
     caches: it writes the instance dict directly.  Copies and pickles
-    rebuild a record through its constructor.
+    rebuild a record through its constructor, by position.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values: object, **named: object) -> None:
+        fields = self._fields
+        if len(values) > len(fields):
+            raise TypeError(
+                f"{type(self).__name__}() takes {len(fields)} arguments"
+                f" but {len(values)} were given"
+            )
+        for name, value in zip(fields, values):
+            _setfield(self, name, value)
+        for name in fields[len(values):]:
+            if name not in named:
+                raise TypeError(
+                    f"{type(self).__name__}() missing argument {name!r}"
+                )
+            _setfield(self, name, named.pop(name))
+        for name in named:  # a leftover keyword is a repeat or unknown
+            fault = "multiple values for" if name in fields else "an unexpected"
+            raise TypeError(f"{type(self).__name__}() got {fault} argument {name!r}")
 
     def _values(self) -> tuple[object, ...]:
         return tuple(getattr(self, name) for name in self._fields)
@@ -73,7 +94,8 @@ class _Record:
 
 
 class Market(_Record):
-    """A validated market.
+    """A validated market: ``house_names``, ``agent_names``,
+    ``endowments`` and ``prefs``, in that order.
 
     ``endowments[i]`` is the house type agent ``i`` owns; ``prefs[i]`` is
     agent ``i``'s strict ranking of all house types, most preferred
@@ -88,18 +110,6 @@ class Market(_Record):
     """
 
     _fields = ("house_names", "agent_names", "endowments", "prefs")
-
-    def __init__(
-        self,
-        house_names: tuple[str, ...],
-        agent_names: tuple[str, ...],
-        endowments: tuple[HouseId, ...],
-        prefs: tuple[Sequence[HouseId], ...],
-    ) -> None:
-        _setfield(self, "house_names", house_names)
-        _setfield(self, "agent_names", agent_names)
-        _setfield(self, "endowments", endowments)
-        _setfield(self, "prefs", prefs)
 
     @property
     def house_count(self) -> int:
@@ -161,12 +171,9 @@ class Market(_Record):
 
 
 class Allocation(_Record):
-    """Assignment of every agent to a house type, indexed by agent id."""
+    """``assignment``: every agent's house type, indexed by agent id."""
 
     _fields = ("assignment",)
-
-    def __init__(self, assignment: tuple[HouseId, ...]) -> None:
-        _setfield(self, "assignment", assignment)
 
     def __getitem__(self, agent: AgentId) -> HouseId:
         return self.assignment[agent]
@@ -176,7 +183,8 @@ class Allocation(_Record):
 
 
 class BlockingCertificate(_Record):
-    """A coalition and sub-allocation witnessing a strict-core violation.
+    """A ``coalition`` of agent ids and its ``sub_allocation``, agent to
+    house type, witnessing a strict-core violation.
 
     The sub-allocation redistributes exactly the coalition's endowment
     multiset; every member weakly improves on the blocked allocation and
@@ -184,14 +192,6 @@ class BlockingCertificate(_Record):
     """
 
     _fields = ("coalition", "sub_allocation")
-
-    def __init__(
-        self,
-        coalition: tuple[AgentId, ...],
-        sub_allocation: Mapping[AgentId, HouseId],
-    ) -> None:
-        _setfield(self, "coalition", coalition)
-        _setfield(self, "sub_allocation", sub_allocation)
 
 
 def validate_market(

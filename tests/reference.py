@@ -29,6 +29,13 @@ for the from-scratch helpers above.
 from its definition: every check in the documented order, each ranking
 walked name by name, and the first fault raised.
 
+``two_phase_load`` reads a market file from the grammar in
+``houseswap.fileformat``'s docstring alone, sharing none of that
+module's code: ``market_syntax`` checks every line's syntax first, then
+``validate_market`` builds the market.  ``load_market``'s one-pass read
+is checked against it, and ``parse_market_text`` against
+``market_syntax``.
+
 ``find_blocking_coalition`` runs the brute-force blocking search of
 ``houseswap.oracle`` on one allocation, the reference that
 ``test_oracle.py`` checks against a naive enumeration.
@@ -67,6 +74,7 @@ from houseswap.market import (
     HouseId,
     Market,
     ValidationError,
+    validate_market,
 )
 from houseswap.oracle import DEFAULT_CAP, _BlockSearch, _check_cap
 from houseswap.rng import SplitMix64
@@ -549,6 +557,51 @@ def first_fault_market(
         endowments=tuple(houses.index(e) for e, _ in rows),
         prefs=tuple(tuple(map(houses.index, r)) for _, r in rows),
     )
+
+
+AGENT_SYNTAX = "expected 'agent <name> endow <house> prefs <house> ...'"
+
+
+def market_syntax(
+    text: str,
+) -> tuple[tuple[str, ...], tuple[tuple[str, str, tuple[str, ...]], ...]]:
+    """The ``(houses, agents)`` a market file declares, or its first
+    syntax error, from the file grammar alone.
+
+    Lines end at ``\n`` only and are numbered from 1.  A line with no
+    token, or whose first token starts with ``#``, is skipped.  The
+    first line left is ``houses: <house> ...``, and each later one is
+    ``agent <name> endow <house> prefs <house> ...``.  A file with no
+    line left is missing its ``houses:`` line, reported on its last
+    line.  Names are neither resolved nor checked.
+    """
+    lines = text.split("\n")
+    significant = []
+    for number, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if tokens and not tokens[0].startswith("#"):
+            significant.append((number, tokens))
+    if not significant:
+        last = len(lines) - 1 if text.endswith("\n") else len(lines)
+        raise ValidationError(f"line {last}: missing 'houses:' line")
+    (number, head), *rest = significant
+    if head[0] != "houses:":
+        raise ValidationError(
+            f"line {number}: first line must start with 'houses:'"
+        )
+    agents = []
+    for number, tokens in rest:
+        if len(tokens) < 5 or tokens[0:5:2] != ["agent", "endow", "prefs"]:
+            raise ValidationError(f"line {number}: {AGENT_SYNTAX}")
+        agents.append((tokens[1], tokens[3], tuple(tokens[5:])))
+    return tuple(head[1:]), tuple(agents)
+
+
+def two_phase_load(text: str) -> Market:
+    """The market a market file describes, or its error: every line's
+    syntax is checked first (``market_syntax``), then
+    ``validate_market`` checks the names and builds the market."""
+    return validate_market(*market_syntax(text))
 
 
 def find_blocking_coalition(

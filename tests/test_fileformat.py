@@ -27,7 +27,12 @@ from houseswap import (
 )
 from houseswap.fileformat import parse_market_text
 from houseswap.rng import ShuffledRange
-from reference import ScalarSplitMix64, scalar_fisher_yates
+from reference import (
+    ScalarSplitMix64,
+    market_syntax,
+    scalar_fisher_yates,
+    two_phase_load,
+)
 from test_market import FAULTS, VALIDATION_CASES, fault_of
 
 AGENT_LINE = "expected 'agent <name> endow <house> prefs <house> ...'"
@@ -123,10 +128,6 @@ class TestParseMarket:
             fileformat.read_text(str(path))
 
 
-def _two_phase(text):
-    return validate_market(*parse_market_text(text))
-
-
 def _outcome(load, text):
     """The market ``load`` builds from ``text``, or its error's class and
     message."""
@@ -198,25 +199,26 @@ LOAD_PATH_TEXTS = {
 
 class TestLoadMarketPaths:
     """``load_market`` reads a file in one pass; it must build the same
-    market, and raise the same error, as ``parse_market_text`` followed
-    by ``validate_market``."""
+    market, and raise the same error, as ``two_phase_load``, a reader
+    written from the grammar alone that checks every line's syntax
+    before it validates."""
 
     @pytest.mark.parametrize("text", LOAD_PATH_TEXTS.values(), ids=LOAD_PATH_TEXTS)
     def test_valid_texts_agree(self, text):
-        assert load_market(text) == _two_phase(text)
+        assert load_market(text) == two_phase_load(text)
 
     @pytest.mark.parametrize(
         "agents, houses, seed", [(1, 1, 0), (40, 40, 1), (90, 30, 2)]
     )
     def test_generated_texts_agree(self, agents, houses, seed):
         text = serialize_market(random_market(GenParams(agents, houses, seed)))
-        assert load_market(text) == _two_phase(text)
+        assert load_market(text) == two_phase_load(text)
 
     @pytest.mark.parametrize("text", LOAD_PATH_TEXTS.values(), ids=LOAD_PATH_TEXTS)
     def test_mutated_texts_raise_the_same_error(self, text):
         errors = set()
         for mutated in _mutations(text):
-            expected = _outcome(_two_phase, mutated)
+            expected = _outcome(two_phase_load, mutated)
             assert _outcome(load_market, mutated) == expected, mutated
             if isinstance(expected, tuple):
                 error, message = expected
@@ -227,6 +229,12 @@ class TestLoadMarketPaths:
                 errors.add("syntax" if syntax else fault_of(message))
         # The mutations reach the syntax check and each validation check.
         assert errors == {"syntax", *FAULTS}
+
+    @pytest.mark.parametrize("text", LOAD_PATH_TEXTS.values(), ids=LOAD_PATH_TEXTS)
+    def test_parse_market_text_matches_the_reference_syntax(self, text):
+        for variant in (text, *_mutations(text)):
+            expected = _outcome(market_syntax, variant)
+            assert _outcome(parse_market_text, variant) == expected, variant
 
     def test_syntax_error_beats_an_earlier_validation_error(self):
         text = (
@@ -247,7 +255,7 @@ class TestLoadMarketPaths:
     ):
         text = _market_text(houses, agents)
         outcome = _outcome(load_market, text)
-        assert outcome == _outcome(_two_phase, text)
+        assert outcome == _outcome(two_phase_load, text)
         names = [*houses, *(name for name, _, _ in agents)]
         if all(name.split() == [name] for name in names):
             # The text carries the case unchanged.

@@ -154,6 +154,25 @@ def _hash_or_unhashable(record):
         return "unhashable"
 
 
+def _check_constructor(record, text):
+    """A frozen record rebuilds from its ``_fields`` by position and by
+    keyword, and each bad call raises a TypeError naming the field."""
+    cls, fields = type(record), record._fields
+    values = [getattr(record, name) for name in fields]
+    named = dict(zip(fields, values))
+    for rebuilt in (cls(*values), cls(**named)):
+        assert rebuilt == record and repr(rebuilt) == text
+    bad_calls = [
+        (values[:-1], {}, fields[-1]),  # missing
+        ([*values, values[0]], {}, ""),  # one positional too many
+        (values, {fields[0]: values[0]}, fields[0]),  # given twice
+        ([], {**named, "extra": None}, "extra"),  # unknown keyword
+    ]
+    for args, kwargs, name in bad_calls:
+        with pytest.raises(TypeError, match=f"'{name}'" if name else None):
+            cls(*args, **kwargs)
+
+
 @pytest.mark.parametrize("build, other, text, frozen_field", RECORDS)
 def test_record_behaviour(build, other, text, frozen_field):
     record, twin = build(), build()
@@ -175,6 +194,7 @@ def test_record_behaviour(build, other, text, frozen_field):
         with pytest.raises(AttributeError):
             setattr(twin, frozen_field, getattr(other, frozen_field))
         assert twin == record
+        _check_constructor(record, text)
     for clone in (
         pickle.loads(pickle.dumps(record)),
         copy.copy(record),
