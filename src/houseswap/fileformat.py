@@ -12,9 +12,11 @@ Names are unique whitespace-free tokens.
 
 ``parse_market_text`` returns ``(houses, agents)``, the arguments of
 ``validate_market``.  ``load_market`` reads a market file in one pass,
-feeding its agent lines to ``validate_market`` as they are split; it
-builds the same market, or raises the same error, as
-``validate_market(*parse_market_text(text))``.  Every error is a
+in the calling process, feeding its agent lines to ``validate_market``
+as they are split; it builds the same market, or raises the same error,
+as ``validate_market(*parse_market_text(text))``.  So does the CLI's
+read, which checks slices of agent lines in forked helpers and reads a
+faulty file again with ``load_market``.  Every error is a
 ``ValidationError``; a syntax error's message starts ``line N: ``.
 
 Allocation file: one line per agent, in agent declaration order::

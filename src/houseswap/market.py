@@ -194,28 +194,8 @@ class BlockingCertificate(_Record):
     _fields = ("coalition", "sub_allocation")
 
 
-def validate_market(
-    houses: Sequence[str], agents: Iterable[tuple[str, str, Sequence[str]]]
-) -> Market:
-    """Check a market description against the model and build a Market.
-
-    ``houses`` are the house type names and ``agents`` the agents'
-    ``(name, endowment, prefs)`` rows, names unresolved.  The rows are
-    read lazily, one at a time, and not past the first faulty row; no
-    row is kept once its house ids are built.
-
-    Rejects names that are not single whitespace-free tokens (the text
-    formats could not carry them), duplicate or unknown names, agent
-    names that start with ``#`` (their allocation lines would read as
-    comments), preference lists that are not permutations of the
-    declared house types, and house types nobody is endowed with.  An
-    empty market (no houses, no agents) is valid.
-
-    A preference list is checked in one pass, popping its names in order
-    from a copy of the house index: its first failed pop is its first
-    fault, an unknown or a repeated name, and a copy left non-empty
-    means it is incomplete.
-    """
+def _house_index(houses: Sequence[str]) -> dict[str, HouseId]:
+    """Each house type name's id, in declaration order."""
     house_index: dict[str, HouseId] = {}
     for name in houses:
         if name.split() != [name]:
@@ -223,20 +203,28 @@ def validate_market(
         if name in house_index:
             raise ValidationError(f"duplicate house name {name!r}")
         house_index[name] = len(house_index)
+    return house_index
 
-    agent_names: list[str] = []
-    seen_agents: set[str] = set()
-    endowments: list[HouseId] = []
-    prefs: list[tuple[HouseId, ...]] = []
+
+def _checked_rows(
+    house_index: dict[str, HouseId],
+    agents: Iterable[tuple[str, str, Sequence[str]]],
+    seen: set[str],
+):
+    """Check each ``(name, endowment, prefs)`` row of ``agents`` in turn
+    and yield it as ``(name, endowment id, ranking ids)``; ``seen``
+    collects the names.  The first faulty row raises, before the next
+    row is read.  ``validate_market`` runs this loop, and so does each
+    helper process of the CLI's sliced load, on its own slice."""
     unranked = house_index.copy()
     for name, endowment, ranked in agents:
         if name.split() != [name]:
             raise ValidationError(f"agent name {name!r} is not a single token")
         if name.startswith("#"):
             raise ValidationError(f"agent name {name!r} starts with '#'")
-        if name in seen_agents:
+        if name in seen:
             raise ValidationError(f"duplicate agent name {name!r}")
-        seen_agents.add(name)
+        seen.add(name)
         if endowment not in house_index:
             raise ValidationError(
                 f"agent {name!r} endowed with unknown house {endowment!r}"
@@ -262,8 +250,52 @@ def validate_market(
         # after the split fragment the heap (+0.8 MB RSS at 1200x600).
         del unranked
         unranked = house_index.copy()
+        yield name, house_index[endowment], ranking
+
+
+def validate_market(
+    houses: Sequence[str],
+    agents: Iterable[tuple[str, str, Sequence[str]]],
+    *,
+    _checked: Iterable[tuple[str, HouseId, tuple[HouseId, ...]]] = (),
+) -> Market:
+    """Check a market description against the model and build a Market.
+
+    ``houses`` are the house type names and ``agents`` the agents'
+    ``(name, endowment, prefs)`` rows, names unresolved.  The rows are
+    read lazily, one at a time, and not past the first faulty row; no
+    row is kept once its house ids are built.
+
+    Rejects names that are not single whitespace-free tokens (the text
+    formats could not carry them), duplicate or unknown names, agent
+    names that start with ``#`` (their allocation lines would read as
+    comments), preference lists that are not permutations of the
+    declared house types, and house types nobody is endowed with.  An
+    empty market (no houses, no agents) is valid.
+
+    A preference list is checked in one pass, popping its names in order
+    from a copy of the house index: its first failed pop is its first
+    fault, an unknown or a repeated name, and a copy left non-empty
+    means it is incomplete.
+    """
+    house_index = _house_index(houses)
+    agent_names: list[str] = []
+    seen_agents: set[str] = set()
+    endowments: list[HouseId] = []
+    prefs: list[tuple[HouseId, ...]] = []
+    for name, endowment, ranking in _checked_rows(house_index, agents, seen_agents):
         agent_names.append(name)
-        endowments.append(house_index[endowment])
+        endowments.append(endowment)
+        prefs.append(ranking)
+    # The CLI's sliced load: the later agents' rows, each slice already
+    # put through ``_checked_rows`` alone, so a name repeated across
+    # slices is the one row fault left to find.
+    for name, endowment, ranking in _checked:
+        if name in seen_agents:
+            raise ValidationError(f"duplicate agent name {name!r}")
+        seen_agents.add(name)
+        agent_names.append(name)
+        endowments.append(endowment)
         prefs.append(ranking)
 
     endowed = set(endowments)

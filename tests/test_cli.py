@@ -32,7 +32,7 @@ from houseswap import (
     serialize_market,
     solve_with_tiebreak,
 )
-from houseswap import cli
+from houseswap import ValidationError, cli, fileformat
 from houseswap.cli import main
 from houseswap.oracle import enumerate_feasible_allocations
 from reference import check_certificate
@@ -495,6 +495,270 @@ class TestGenHelpers:
             assert main(gen_argv(30, 10, 2)) == code
             assert capsys.readouterr() == ("", "error: out of memory\n")
         assert time.monotonic() - start < 10
+        assert_no_child_left()
+
+
+# A market of agents a1 to a12 over h1 to h4, where the last agent is
+# the only owner of h4.
+LOAD_HOUSES = ["h1", "h2", "h3", "h4"]
+LOAD_AGENTS = [
+    [
+        "agent", f"a{k}", "endow", "h4" if k == 12 else LOAD_HOUSES[k % 3],
+        "prefs", *LOAD_HOUSES[k % 4:], *LOAD_HOUSES[:k % 4],
+    ]
+    for k in range(1, 13)
+]
+
+
+def load_text(edits=(), header="houses: h1 h2 h3 h4"):
+    """The market above, with ``edits``, ``(k, edit)`` pairs, applied to
+    the line of agent ``k``: ``edit(tokens)`` is its new line."""
+    lines = [header, *(" ".join(tokens) for tokens in LOAD_AGENTS)]
+    for k, edit in edits:
+        lines[k] = edit(list(LOAD_AGENTS[k - 1]))
+    return "\n".join(lines) + "\n"
+
+
+def replaced(position, token):
+    def edit(tokens):
+        tokens[position] = token
+        return " ".join(tokens)
+    return edit
+
+
+# One edit per fault an agent line can carry.
+LINE_FAULTS = {
+    "syntax": lambda tokens: " ".join(tokens[:2]),
+    "hash-name": lambda tokens: " ".join(tokens).replace(" a", " #a", 1),
+    "duplicate-name": lambda tokens: " ".join(
+        [tokens[0], f"a{int(tokens[1][1:]) - 1}", *tokens[2:]]
+    ),
+    "unknown-endowment": replaced(3, "h9"),
+    "unknown-ranked": replaced(6, "h9"),
+    "ranked-twice": lambda tokens: " ".join(tokens[:-1] + tokens[5:6]),
+    "incomplete": lambda tokens: " ".join(tokens[:-1]),
+}
+
+
+def sliced_outcome(text, cpus, tmp_path, capsys, command="solve", *args):
+    """The exit code, stdout and stderr of ``command`` on a market file
+    holding ``text``, then ``args``, with ``cpus`` usable CPUs."""
+    path = tmp_path / "m.market"
+    path.write_bytes(text.encode())
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        patch_cpus(monkeypatch, cpus)
+        code = main([command, str(path), *args])
+    return code, *capsys.readouterr()
+
+
+def load_error(text):
+    """The error line of ``load_market`` on ``text``."""
+    with pytest.raises(ValidationError) as info:
+        load_market(text)
+    return f"error: {info.value}\n"
+
+
+def slice_of(cuts, text, k):
+    """The index of the slice, of ``text`` cut at ``cuts``, that holds
+    agent ``k``'s line."""
+    line_start = len("".join(text.splitlines(True)[:k]))
+    return sum(cut <= line_start for cut in cuts) - 1
+
+
+class TestLoadHelpers:
+    """``solve``, ``verify`` and ``oracle`` check one slice of agent
+    lines per usable CPU, each after the first in a forked helper; the
+    market, or the error, never depends on the count."""
+
+    @pytest.mark.parametrize("cpus", [None, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            serialize_market(random_market(GenParams(37, 11, 5))),
+            # Fewer agent lines than CPUs.
+            "houses: h1 h2\nagent a endow h1 prefs h2 h1\n"
+            "agent b endow h2 prefs h1 h2\n",
+            # A comment, a blank line or a CRLF ending beside every cut.
+            "# heading\r\nhouses: h1 h2 h3 h4\r\n\r\n"
+            + "".join(
+                f"{' '.join(tokens)}\r\n  # after a{k}\n\n"
+                for k, tokens in enumerate(LOAD_AGENTS, start=1)
+            ),
+            load_text(),
+        ],
+        ids=["generated", "two-agents", "comments-crlf", "later-owner"],
+    )
+    def test_market_equals_load_market(self, text, cpus, tmp_path, monkeypatch):
+        path = tmp_path / "m.market"
+        path.write_bytes(text.encode())
+        if cpus is not None:
+            patch_cpus(monkeypatch, cpus)
+        forked = []
+        fork = cli._Helpers.fork
+
+        def counted(helpers, *args):
+            forked.append(args)
+            fork(helpers, *args)
+
+        monkeypatch.setattr(cli._Helpers, "fork", counted)
+        market = cli._read_market(str(path))
+        assert market == load_market(text)
+        assert all(type(ranking) is tuple for ranking in market.prefs)
+        cuts = cli._line_cuts(text, cli._usable_cpus())
+        assert len(forked) == max(len(cuts) - 2, 0)
+        assert all(text[cut - 1] == "\n" for cut in cuts[1:-1])
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            *([(2, edit)] for edit in LINE_FAULTS.values()),
+            *([(12, edit)] for edit in LINE_FAULTS.values()),
+            *([(2, edit), (12, edit)] for edit in LINE_FAULTS.values()),
+            # A name repeated across slices, and a type whose only owner,
+            # in the last slice, gives it away.
+            [(12, replaced(1, "a1"))],
+            [(12, replaced(3, "h1"))],
+            # A syntax error after an earlier validation error, and the
+            # other way round.
+            [(2, LINE_FAULTS["unknown-endowment"]), (12, LINE_FAULTS["syntax"])],
+            [(2, LINE_FAULTS["syntax"]), (12, LINE_FAULTS["incomplete"])],
+        ],
+        ids=[
+            *(f"{fault}-first" for fault in LINE_FAULTS),
+            *(f"{fault}-last" for fault in LINE_FAULTS),
+            *(f"{fault}-both" for fault in LINE_FAULTS),
+            "name-across-slices", "unowned-type",
+            "syntax-after-validation", "validation-after-syntax",
+        ],
+    )
+    def test_fault_gives_the_one_cpu_error(self, edits, tmp_path, capsys):
+        text = load_text(edits)
+        one = sliced_outcome(text, 1, tmp_path, capsys)
+        assert one == (1, "", load_error(text))
+        for cpus in (2, 3, 5):
+            # Agent 2 is in the first slice, agent 12 in the last.
+            cuts = cli._line_cuts(text, cpus)
+            assert slice_of(cuts, text, 2) == 0
+            assert slice_of(cuts, text, 12) == len(cuts) - 2 > 0
+            assert sliced_outcome(text, cpus, tmp_path, capsys) == one
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "header",
+        ["houses: h1 h1 h2 h3 h4", "house: h1 h2 h3 h4", "# no houses line"],
+    )
+    def test_header_fault_gives_the_one_cpu_error(self, header, tmp_path, capsys):
+        text = load_text(header=header)
+        one = sliced_outcome(text, 1, tmp_path, capsys)
+        assert one == (1, "", load_error(text))
+        assert sliced_outcome(text, 3, tmp_path, capsys) == one
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "oracle"])
+    @pytest.mark.parametrize(
+        "text",
+        [(FIXTURES / "worked.market").read_text(), load_text([(9, replaced(3, "h9"))])],
+        ids=["worked", "fault"],
+    )
+    def test_commands_match_one_cpu(self, command, text, tmp_path, capsys):
+        args = []
+        if command == "verify":
+            allocation = tmp_path / "a.alloc"
+            allocation.write_text(WORKED_ALLOCATION)
+            args.append(str(allocation))
+        one = sliced_outcome(text, 1, tmp_path, capsys, command, *args)
+        assert sliced_outcome(text, 3, tmp_path, capsys, command, *args) == one
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("raise", "error: load helper exited with status 1\n"),
+            ("kill", "error: load helper killed by signal 9\n"),
+            ("kill-mid-write", "error: load helper killed by signal 9\n"),
+        ],
+    )
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_failed_helper_is_one_error_line(
+        self, fault, message, cpus, tmp_path, monkeypatch, capsys
+    ):
+        # With three slices both helpers fail: the first is reported,
+        # and the second, still running or done, is killed and reaped.
+        send = cli._send_rows
+
+        class CutPipe:
+            """Dies halfway through the first block, after its length."""
+
+            def __init__(self, pipe):
+                self.pipe = pipe
+                self.writes = 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    self.pipe.write(data[:len(data) // 2])
+                    self.pipe.flush()
+                    os.kill(os.getpid(), signal.SIGKILL)
+                self.pipe.write(data)
+
+        def failing(pipe, *args):
+            if fault == "raise":
+                raise RuntimeError("checker failed")
+            if fault == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            send(CutPipe(pipe), *args)
+
+        path = tmp_path / "m.market"
+        path.write_text(load_text())
+        patch_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(cli, "_send_rows", failing)
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr() == ("", message)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "fault, code", [(KeyboardInterrupt, None), (MemoryError, 1)]
+    )
+    def test_parent_fault_kills_running_helpers(
+        self, fault, code, tmp_path, monkeypatch, capsys
+    ):
+        def slow_helper(pipe, *args):
+            time.sleep(30)  # only a kill ends this helper early
+
+        def parent_fault(houses, agents, **checked):
+            raise fault
+
+        path = tmp_path / "m.market"
+        path.write_text(load_text())
+        patch_cpus(monkeypatch, 3)
+        monkeypatch.setattr(cli, "_send_rows", slow_helper)
+        monkeypatch.setattr(fileformat, "validate_market", parent_fault)
+        start = time.monotonic()
+        if code is None:
+            with pytest.raises(fault):
+                main(["solve", str(path)])
+        else:
+            assert main(["solve", str(path)]) == code
+            assert capsys.readouterr() == ("", "error: out of memory\n")
+        assert time.monotonic() - start < 10
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("missing", ["one_cpu", "no_fork"])
+    def test_one_slice_does_not_fork(self, missing, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "m.market"
+        path.write_text(load_text([(12, LINE_FAULTS["incomplete"])]))
+        if missing == "one_cpu":
+            patch_cpus(monkeypatch, 1)
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        else:
+            monkeypatch.delattr(os, "fork")
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: agent 'a12' ranks 3 of 4 house types\n"
+        )
+        assert main(["solve", WORKED]) == 0
+        assert capsys.readouterr().out == WORKED_ALLOCATION
         assert_no_child_left()
 
 
