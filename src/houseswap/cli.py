@@ -12,9 +12,10 @@ place; its exit code still reports the outcome.
 Where ``os.fork`` and ``os.sched_getaffinity`` both exist (not on macOS,
 which lacks the second and so works serially), ``gen`` and the market
 load split their work into one contiguous slice of agent lines per CPU
-the process may use, and fork one helper for each slice after the first; every helper
-is reaped, or killed and reaped, before the command returns, and a
-failed helper makes it exit 1 with one error line.  ``gen`` formats
+the process may use, and fork one helper for each slice after the first
+(``houseswap._forked``, which only these commands import).  Every
+helper is reaped, or killed and reaped, before the command returns, and
+a failed helper makes it exit 1 with one error line.  ``gen`` formats
 each slice and writes nothing until every slice has arrived; its output
 is byte-identical on any CPU count.  ``solve``, ``verify`` and
 ``oracle`` load their market file that way: this process checks the
@@ -31,17 +32,12 @@ from __future__ import annotations
 
 import argparse
 import errno
-import marshal
 import math
 import os
 import sys
 import time
 
-from . import fileformat
 from .fileformat import (
-    _agent_rows,
-    _house_names,
-    _significant_lines,
     load_market,
     parse_allocation_text,
     read_text,
@@ -56,7 +52,7 @@ from .htts import (
     htts_solve,
     solve_with_tiebreak,
 )
-from .market import Market, ValidationError, _checked_rows, _house_index
+from .market import Market, ValidationError
 
 
 def _eprint(line: str) -> None:
@@ -68,13 +64,11 @@ def _eprint(line: str) -> None:
 
 def _read_market(path: str) -> Market:
     text = read_text(path)
-    cuts = _line_cuts(text, _usable_cpus())
-    if len(cuts) > 2:
-        try:
-            return _load_slices(text, cuts)
-        except ValidationError:
-            pass  # read again serially: the same error on any CPU count
-    return load_market(text)
+    cpus = _usable_cpus()
+    if cpus == 1:
+        return load_market(text)
+    from ._forked import load_in_slices  # only a command that forks loads it
+    return load_in_slices(text, cpus)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -133,134 +127,6 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-class _Helpers(list):
-    """Forked helpers, as ``(pid, pipe read end)`` pairs until each is
-    reaped.  Leaving the ``with`` block kills and reaps every helper
-    still listed, so none outlives a fault."""
-
-    def __enter__(self) -> _Helpers:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self:
-            import signal  # loaded only here, so no other path pays for it
-            for pid, read_end in self:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                os.close(read_end)
-            self.clear()
-
-    def fork(self, work, *args: object) -> None:
-        """Fork a helper that runs ``work(pipe, *args)``, ``pipe`` the
-        binary write end of a new pipe, and exits, 0 only if ``work``
-        returned.  EOF on the pipe means it is done."""
-        read_end, write_end = os.pipe()
-        try:
-            pid = os.fork()
-        except BaseException:
-            os.close(read_end)
-            os.close(write_end)
-            raise
-        if pid == 0:
-            status = 1
-            try:
-                os.close(read_end)
-                with open(write_end, "wb") as pipe:
-                    work(pipe, *args)
-                status = 0
-            finally:
-                os._exit(status)  # never returns into the caller's stack
-        os.close(write_end)
-        self.append((pid, read_end))
-
-    def outputs(self, command: str):
-        """Each helper's pipe as a binary file, in fork order.  Once the
-        caller asks for the next, the helper is reaped; a failed one
-        raises ``ChildProcessError``."""
-        while self:
-            pid, read_end = self[0]
-            with open(read_end, "rb", closefd=False) as pipe:
-                yield pipe
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del self[0]
-            os.close(read_end)
-            if status < 0:
-                raise ChildProcessError(f"{command} helper killed by signal {-status}")
-            if status:
-                raise ChildProcessError(f"{command} helper exited with status {status}")
-
-
-def _line_cuts(text: str, slices: int) -> list[int]:
-    """Offsets that cut ``text`` into at most ``slices`` runs of whole
-    lines, from 0 to ``len(text)``: the first line, the ``houses:`` line
-    of any file ``gen`` writes, then about equal shares of the rest."""
-    start = text.find("\n") + 1
-    size = len(text) - start
-    cuts = {0, len(text)}
-    for k in range(1, slices):
-        cuts.add(text.find("\n", start + size * k // slices) + 1 or len(text))
-    return sorted(cuts)
-
-
-# Rows per marshal block a load helper sends.  A whole slice in one
-# block would hold its serialized copy and its rows at once.
-_BLOCK_ROWS = 256
-
-
-def _send_rows(pipe, text: str, lo: int, hi: int, houses: list[str]) -> None:
-    """Check the agent lines ``text[lo:hi]`` and write their rows as
-    blocks: a 4-byte length, then a marshalled list of rows.  A faulty
-    slice is one zero length.  Nothing is written before the whole slice
-    is checked, so the helper never waits on a full pipe mid-check."""
-    try:
-        rows = list(_checked_rows(
-            _house_index(houses),
-            _agent_rows(_significant_lines(text[lo:hi])),
-            set(),
-        ))
-    except ValidationError:
-        pipe.write(bytes(4))
-        return
-    for k in range(0, len(rows), _BLOCK_ROWS):
-        block = marshal.dumps(rows[k:k + _BLOCK_ROWS])
-        pipe.write(len(block).to_bytes(4, "little"))
-        pipe.write(block)
-
-
-def _received_rows(pipes):
-    """The rows of each helper's pipe in turn.  A helper's faulty slice
-    raises ``ValidationError``; a pipe cut short ends at the last whole
-    block, and reaping its helper reports how it failed."""
-    for pipe in pipes:
-        while len(head := pipe.read(4)) == 4:
-            size = int.from_bytes(head, "little")
-            if not size:
-                raise ValidationError("a later slice is faulty")
-            block = pipe.read(size)
-            if len(block) < size:
-                break
-            yield from marshal.loads(block)
-
-
-def _load_slices(text: str, cuts: list[int]) -> Market:
-    """The market of a file cut at ``cuts``: helpers check every slice
-    after the first while this process checks the first, which holds
-    the ``houses:`` line.  Any fault raises ``ValidationError``."""
-    lines = _significant_lines(text[:cuts[1]])
-    houses = _house_names(text, lines)
-    with _Helpers() as helpers:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            helpers.fork(_send_rows, text, lo, hi, houses)
-        # Called on its module, as ``load_market`` calls it, so a traced
-        # run times this process's slice, the wait and the merge as one
-        # ``validate_market`` span.
-        return fileformat.validate_market(
-            houses,
-            _agent_rows(lines),
-            _checked=_received_rows(helpers.outputs("load")),
-        )
-
-
 def _slice_text(market: Market, lo: int, hi: int) -> str:
     """The ``houses:`` line and the lines of agents ``lo`` to ``hi - 1``."""
     return serialize_market(Market(
@@ -283,7 +149,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     n = market.agent_count
     slices = min(_usable_cpus(), n)
     bounds = [n * k // slices for k in range(slices + 1)]
-    with _Helpers() as helpers:
+    from ._forked import Helpers  # only a command that forks loads it
+    with Helpers() as helpers:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             helpers.fork(_send_lines, market, lo, hi)
         parts = [_slice_text(market, 0, bounds[1])]

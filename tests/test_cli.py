@@ -32,7 +32,7 @@ from houseswap import (
     serialize_market,
     solve_with_tiebreak,
 )
-from houseswap import ValidationError, cli, fileformat
+from houseswap import ValidationError, _forked, cli, fileformat
 from houseswap.cli import main
 from houseswap.oracle import enumerate_feasible_allocations
 from reference import check_certificate
@@ -594,17 +594,17 @@ class TestLoadHelpers:
         if cpus is not None:
             patch_cpus(monkeypatch, cpus)
         forked = []
-        fork = cli._Helpers.fork
+        fork = _forked.Helpers.fork
 
         def counted(helpers, *args):
             forked.append(args)
             fork(helpers, *args)
 
-        monkeypatch.setattr(cli._Helpers, "fork", counted)
+        monkeypatch.setattr(_forked.Helpers, "fork", counted)
         market = cli._read_market(str(path))
         assert market == load_market(text)
         assert all(type(ranking) is tuple for ranking in market.prefs)
-        cuts = cli._line_cuts(text, cli._usable_cpus())
+        cuts = _forked.line_cuts(text, cli._usable_cpus())
         assert len(forked) == max(len(cuts) - 2, 0)
         assert all(text[cut - 1] == "\n" for cut in cuts[1:-1])
         assert_no_child_left()
@@ -638,7 +638,7 @@ class TestLoadHelpers:
         assert one == (1, "", load_error(text))
         for cpus in (2, 3, 5):
             # Agent 2 is in the first slice, agent 12 in the last.
-            cuts = cli._line_cuts(text, cpus)
+            cuts = _forked.line_cuts(text, cpus)
             assert slice_of(cuts, text, 2) == 0
             assert slice_of(cuts, text, 12) == len(cuts) - 2 > 0
             assert sliced_outcome(text, cpus, tmp_path, capsys) == one
@@ -685,7 +685,7 @@ class TestLoadHelpers:
     ):
         # With three slices both helpers fail: the first is reported,
         # and the second, still running or done, is killed and reaped.
-        send = cli._send_rows
+        send = _forked.send_rows
 
         class CutPipe:
             """Dies halfway through the first block, after its length."""
@@ -712,7 +712,7 @@ class TestLoadHelpers:
         path = tmp_path / "m.market"
         path.write_text(load_text())
         patch_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(cli, "_send_rows", failing)
+        monkeypatch.setattr(_forked, "send_rows", failing)
         assert main(["solve", str(path)]) == 1
         assert capsys.readouterr() == ("", message)
         assert_no_child_left()
@@ -732,7 +732,7 @@ class TestLoadHelpers:
         path = tmp_path / "m.market"
         path.write_text(load_text())
         patch_cpus(monkeypatch, 3)
-        monkeypatch.setattr(cli, "_send_rows", slow_helper)
+        monkeypatch.setattr(_forked, "send_rows", slow_helper)
         monkeypatch.setattr(fileformat, "validate_market", parent_fault)
         start = time.monotonic()
         if code is None:

@@ -56,10 +56,13 @@ def test_all_is_the_pinned_sorted_surface():
 
 
 def test_cli_import_does_not_load_the_brute_force():
-    # Only the `oracle` command imports it, from inside the command.  Nor
-    # does any command load `dataclasses`, `inspect` or `typing`; `-S`
-    # keeps `site`'s own imports out of the child.
-    heavy = ["houseswap.oracle", "dataclasses", "inspect", "typing"]
+    # Only the `oracle` command imports it, from inside the command, and
+    # only a command that forks imports `houseswap._forked`.  Nor does
+    # any command load `dataclasses`, `inspect` or `typing`; `-S` keeps
+    # `site`'s own imports out of the child.
+    heavy = [
+        "houseswap.oracle", "houseswap._forked", "dataclasses", "inspect", "typing"
+    ]
     code = f"import sys, houseswap.cli; print([m for m in {heavy} if m in sys.modules])"
     src = str(Path(houseswap.__file__).parent.parent)
     proc = subprocess.run(
