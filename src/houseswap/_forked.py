@@ -1,17 +1,19 @@
 """Work split over forked helper processes, one slice per usable CPU.
 
-``Helpers`` forks and reaps the helpers of ``gen`` and of the market
-load.  ``load_in_slices`` is the CLI's market load: it cuts the agent
-lines after the ``houses:`` line into slices of whole lines, checks the
-first in this process while a helper checks each other slice, and sends
-the checked rows back as marshalled blocks.  Only the commands that fork
-import this module.
+``Helpers`` is the only code that forks or touches a helper's pipe.  A
+helper sends each value its work yields as one block, a 4-byte length
+then the value's ``marshal`` bytes, and a ``ValidationError`` as one
+zero length.  Work that cannot fork runs in this process instead.
+``gen`` formats slices of agents in helpers, and ``load_in_slices``, the
+CLI's market load, checks slices of agent lines.  ``gen`` imports this
+module on any CPU count, the load only on more than one.
 """
 
 from __future__ import annotations
 
 import marshal
 import os
+from itertools import chain
 
 from . import fileformat
 from .fileformat import _agent_rows, _house_names, _significant_lines
@@ -20,8 +22,9 @@ from .market import Market, ValidationError, _checked_rows, _house_index
 
 class Helpers(list):
     """Forked helpers, as ``(pid, pipe read end)`` pairs until each is
-    reaped.  Leaving the ``with`` block kills and reaps every helper
-    still listed, so none outlives a fault."""
+    reaped, and ``(None, values)`` for work that could not fork.  Leaving
+    the ``with`` block kills and reaps every helper still listed, so none
+    outlives a fault."""
 
     def __enter__(self) -> Helpers:
         return self
@@ -30,45 +33,67 @@ class Helpers(list):
         if self:
             import signal  # loaded only here, so no other path pays for it
             for pid, read_end in self:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                os.close(read_end)
+                if pid is not None:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    os.close(read_end)
             self.clear()
 
     def fork(self, work, *args: object) -> None:
-        """Fork a helper that runs ``work(pipe, *args)``, ``pipe`` the
-        binary write end of a new pipe, and exits, 0 only if ``work``
-        returned.  EOF on the pipe means it is done."""
-        read_end, write_end = os.pipe()
+        """Fork a helper that sends what ``work(*args)`` yields and exits,
+        0 only if ``work`` finished or raised ``ValidationError``.  If no
+        pipe or process can be had, ``work`` is kept to run here."""
         try:
-            pid = os.fork()
-        except BaseException:
-            os.close(read_end)
-            os.close(write_end)
-            raise
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+        except OSError:  # a process limit, say: the one-CPU outcome still holds
+            self.append((None, work(*args)))
+            return
         if pid == 0:
             status = 1
             try:
                 os.close(read_end)
                 with open(write_end, "wb") as pipe:
-                    work(pipe, *args)
+                    try:
+                        for value in work(*args):
+                            block = marshal.dumps(value)
+                            pipe.write(len(block).to_bytes(4, "little"))
+                            pipe.write(block)
+                    except ValidationError:
+                        pipe.write(bytes(4))
                 status = 0
             finally:
                 os._exit(status)  # never returns into the caller's stack
         os.close(write_end)
         self.append((pid, read_end))
 
-    def outputs(self, command: str):
-        """Each helper's pipe as a binary file, in fork order.  Once the
-        caller asks for the next, the helper is reaped; a failed one
-        raises ``ChildProcessError``."""
+    def results(self, command: str):
+        """Each helper's values in fork order; its ``ValidationError``
+        raises one here.  A pipe cut short ends at its last whole block,
+        and reaping a failed helper raises ``ChildProcessError``."""
         while self:
-            pid, read_end = self[0]
-            with open(read_end, "rb", closefd=False) as pipe:
-                yield pipe
+            pid, source = self[0]
+            if pid is None:
+                yield from source
+                del self[0]
+                continue
+            with open(source, "rb", closefd=False) as pipe:
+                while len(head := pipe.read(4)) == 4:
+                    size = int.from_bytes(head, "little")
+                    if not size:
+                        raise ValidationError(f"{command} helper found a fault")
+                    block = pipe.read(size)
+                    if len(block) < size:
+                        break
+                    yield marshal.loads(block)
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del self[0]
-            os.close(read_end)
+            os.close(source)
             if status < 0:
                 raise ChildProcessError(f"{command} helper killed by signal {-status}")
             if status:
@@ -92,39 +117,17 @@ def line_cuts(text: str, slices: int) -> list[int]:
 BLOCK_ROWS = 256
 
 
-def send_rows(pipe, text: str, lo: int, hi: int, houses: list[str]) -> None:
-    """Check the agent lines ``text[lo:hi]`` and write their rows as
-    blocks: a 4-byte length, then a marshalled list of rows.  A faulty
-    slice is one zero length.  Nothing is written before the whole slice
-    is checked, so the helper never waits on a full pipe mid-check."""
-    try:
-        rows = list(_checked_rows(
-            _house_index(houses),
-            _agent_rows(_significant_lines(text[lo:hi])),
-            set(),
-        ))
-    except ValidationError:
-        pipe.write(bytes(4))
-        return
+def checked_blocks(text: str, lo: int, hi: int, houses: list[str]):
+    """Check the agent lines ``text[lo:hi]``, then yield their rows in
+    lists of ``BLOCK_ROWS``: a load helper's work.  Nothing goes out before
+    the whole slice is checked, so it never waits on a full pipe mid-check."""
+    rows = list(_checked_rows(
+        _house_index(houses),
+        _agent_rows(_significant_lines(text[lo:hi])),
+        set(),
+    ))
     for k in range(0, len(rows), BLOCK_ROWS):
-        block = marshal.dumps(rows[k:k + BLOCK_ROWS])
-        pipe.write(len(block).to_bytes(4, "little"))
-        pipe.write(block)
-
-
-def received_rows(pipes):
-    """The rows of each helper's pipe in turn.  A helper's faulty slice
-    raises ``ValidationError``; a pipe cut short ends at the last whole
-    block, and reaping its helper reports how it failed."""
-    for pipe in pipes:
-        while len(head := pipe.read(4)) == 4:
-            size = int.from_bytes(head, "little")
-            if not size:
-                raise ValidationError("a later slice is faulty")
-            block = pipe.read(size)
-            if len(block) < size:
-                break
-            yield from marshal.loads(block)
+        yield rows[k:k + BLOCK_ROWS]
 
 
 def load_in_slices(text: str, slices: int) -> Market:
@@ -135,23 +138,19 @@ def load_in_slices(text: str, slices: int) -> Market:
     cuts = line_cuts(text, slices)
     if len(cuts) > 2:
         try:
-            return _load_slices(text, cuts)
+            lines = _significant_lines(text[:cuts[1]])
+            houses = _house_names(text, lines)
+            with Helpers() as helpers:
+                for lo, hi in zip(cuts[1:-1], cuts[2:]):
+                    helpers.fork(checked_blocks, text, lo, hi, houses)
+                # Called on its module, as ``load_market`` calls it, so a
+                # traced run times this process's slice, the wait and the
+                # merge as one ``validate_market`` span.
+                return fileformat.validate_market(
+                    houses,
+                    _agent_rows(lines),
+                    _checked=chain.from_iterable(helpers.results("load")),
+                )
         except ValidationError:
             pass  # read again serially: the same error on any CPU count
     return fileformat.load_market(text)
-
-
-def _load_slices(text: str, cuts: list[int]) -> Market:
-    lines = _significant_lines(text[:cuts[1]])
-    houses = _house_names(text, lines)
-    with Helpers() as helpers:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            helpers.fork(send_rows, text, lo, hi, houses)
-        # Called on its module, as ``load_market`` calls it, so a traced
-        # run times this process's slice, the wait and the merge as one
-        # ``validate_market`` span.
-        return fileformat.validate_market(
-            houses,
-            _agent_rows(lines),
-            _checked=received_rows(helpers.outputs("load")),
-        )

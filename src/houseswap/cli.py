@@ -12,17 +12,17 @@ place; its exit code still reports the outcome.
 Where ``os.fork`` and ``os.sched_getaffinity`` both exist (not on macOS,
 which lacks the second and so works serially), ``gen`` and the market
 load split their work into one contiguous slice of agent lines per CPU
-the process may use, and fork one helper for each slice after the first
-(``houseswap._forked``, which only these commands import).  Every
-helper is reaped, or killed and reaped, before the command returns, and
-a failed helper makes it exit 1 with one error line.  ``gen`` formats
-each slice and writes nothing until every slice has arrived; its output
-is byte-identical on any CPU count.  ``solve``, ``verify`` and
-``oracle`` load their market file that way: this process checks the
-``houses:`` line and the first slice while each helper checks its own
-slice and sends back house ids.  On any fault, in a slice or across
-two, the file is read again serially with ``load_market``, so every
-error line is the same on any CPU count.
+the process may use.  ``houseswap._forked.Helpers`` runs the work of
+each slice after the first in a forked helper, or here if it cannot
+fork, and carries back what it yields; a failed helper makes the command
+exit 1 with one error line, and none outlives it.  ``gen`` writes
+nothing until every slice's text has arrived, so its output is
+byte-identical on any CPU count.  ``solve``, ``verify`` and ``oracle``
+load their market file that way: this process checks the ``houses:``
+line and the first slice while each helper checks its own slice and
+yields its rows as house ids.  On any fault, in a slice or across two,
+the file is read again serially with ``load_market``, so every error
+line is the same on any CPU count.
 
 ``run`` is the process entry: once its command has finished it ends the
 process without interpreter teardown.
@@ -67,7 +67,7 @@ def _read_market(path: str) -> Market:
     cpus = _usable_cpus()
     if cpus == 1:
         return load_market(text)
-    from ._forked import load_in_slices  # only a command that forks loads it
+    from ._forked import load_in_slices  # loaded only where it slices
     return load_in_slices(text, cpus)
 
 
@@ -137,9 +137,9 @@ def _slice_text(market: Market, lo: int, hi: int) -> str:
     ))
 
 
-def _send_lines(pipe, market: Market, lo: int, hi: int) -> None:
-    """Write the UTF-8 lines of agents ``lo`` to ``hi - 1``."""
-    pipe.write(_slice_text(market, lo, hi).partition("\n")[2].encode())
+def _agent_lines(market: Market, lo: int, hi: int):
+    """Yield the lines of agents ``lo`` to ``hi - 1`` once: gen's work."""
+    yield _slice_text(market, lo, hi).partition("\n")[2]
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -149,12 +149,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     n = market.agent_count
     slices = min(_usable_cpus(), n)
     bounds = [n * k // slices for k in range(slices + 1)]
-    from ._forked import Helpers  # only a command that forks loads it
+    from ._forked import Helpers  # on one CPU too, unlike the load
     with Helpers() as helpers:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            helpers.fork(_send_lines, market, lo, hi)
-        parts = [_slice_text(market, 0, bounds[1])]
-        parts += [pipe.read().decode() for pipe in helpers.outputs("gen")]
+            helpers.fork(_agent_lines, market, lo, hi)
+        parts = [_slice_text(market, 0, bounds[1]), *helpers.results("gen")]
     # Every slice arrived whole, so stdout gets all of them or nothing.
     for part in parts:
         sys.stdout.write(part)

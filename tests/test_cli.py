@@ -7,6 +7,7 @@ buffered as it is outside a terminal.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import os
 import re
@@ -585,8 +586,13 @@ class TestLoadHelpers:
                 for k, tokens in enumerate(LOAD_AGENTS, start=1)
             ),
             load_text(),
+            # Non-ASCII names, and beside every cut a comment holding
+            # U+0085 and U+2028, which ``str.splitlines`` breaks at.
+            load_text()
+            .replace("h1", "café").replace("h2", "日本").replace(" a", " ä")
+            .replace("\n", "\n# \x85 \u2028 note\n"),
         ],
-        ids=["generated", "two-agents", "comments-crlf", "later-owner"],
+        ids=["generated", "two-agents", "comments-crlf", "later-owner", "non-ascii"],
     )
     def test_market_equals_load_market(self, text, cpus, tmp_path, monkeypatch):
         path = tmp_path / "m.market"
@@ -685,7 +691,7 @@ class TestLoadHelpers:
     ):
         # With three slices both helpers fail: the first is reported,
         # and the second, still running or done, is killed and reaped.
-        send = _forked.send_rows
+        check = _forked.checked_blocks
 
         class CutPipe:
             """Dies halfway through the first block, after its length."""
@@ -693,6 +699,12 @@ class TestLoadHelpers:
             def __init__(self, pipe):
                 self.pipe = pipe
                 self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.pipe.close()
 
             def write(self, data):
                 self.writes += 1
@@ -702,17 +714,24 @@ class TestLoadHelpers:
                     os.kill(os.getpid(), signal.SIGKILL)
                 self.pipe.write(data)
 
-        def failing(pipe, *args):
+        def cut_open(file, mode="r", **kwargs):
+            pipe = open(file, mode, **kwargs)
+            return CutPipe(pipe) if mode == "wb" else pipe
+
+        def failing(*args):
             if fault == "raise":
                 raise RuntimeError("checker failed")
             if fault == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
-            send(CutPipe(pipe), *args)
+            yield from check(*args)
 
         path = tmp_path / "m.market"
         path.write_text(load_text())
         patch_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(_forked, "send_rows", failing)
+        monkeypatch.setattr(_forked, "checked_blocks", failing)
+        if fault == "kill-mid-write":
+            # The helper's pipe file, which ``Helpers.fork`` opens.
+            monkeypatch.setattr(_forked, "open", cut_open, raising=False)
         assert main(["solve", str(path)]) == 1
         assert capsys.readouterr() == ("", message)
         assert_no_child_left()
@@ -723,7 +742,7 @@ class TestLoadHelpers:
     def test_parent_fault_kills_running_helpers(
         self, fault, code, tmp_path, monkeypatch, capsys
     ):
-        def slow_helper(pipe, *args):
+        def slow_helper(*args):
             time.sleep(30)  # only a kill ends this helper early
 
         def parent_fault(houses, agents, **checked):
@@ -732,7 +751,7 @@ class TestLoadHelpers:
         path = tmp_path / "m.market"
         path.write_text(load_text())
         patch_cpus(monkeypatch, 3)
-        monkeypatch.setattr(_forked, "send_rows", slow_helper)
+        monkeypatch.setattr(_forked, "checked_blocks", slow_helper)
         monkeypatch.setattr(fileformat, "validate_market", parent_fault)
         start = time.monotonic()
         if code is None:
@@ -760,6 +779,42 @@ class TestLoadHelpers:
         assert main(["solve", WORKED]) == 0
         assert capsys.readouterr().out == WORKED_ALLOCATION
         assert_no_child_left()
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "solve-fault"])
+@pytest.mark.parametrize(
+    "call, cpus, refused",
+    [("fork", 2, "every"), ("fork", 3, "every"), ("fork", 3, "second"),
+     ("pipe", 3, "every")],
+)
+def test_refused_fork_gives_the_one_cpu_outcome(
+    command, call, cpus, refused, tmp_path, monkeypatch, capsys
+):
+    # A process limit, say, refuses a helper: its slice is done in this
+    # process, and any helper already forked is still read and reaped.
+    if command == "gen":
+        argv = gen_argv(30, 10, 2)
+    else:
+        path = tmp_path / "m.market"
+        edits = [(12, LINE_FAULTS["incomplete"])] if command == "solve-fault" else []
+        path.write_text(load_text(edits))
+        argv = ["solve", str(path)]
+    patch_cpus(monkeypatch, 1)
+    one = main(argv), *capsys.readouterr()
+    calls = []
+    real = getattr(os, call)
+
+    def refusing():
+        calls.append(call)
+        if refused == "every" or len(calls) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real()
+
+    patch_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(os, call, refusing)
+    assert (main(argv), *capsys.readouterr()) == one
+    assert len(calls) == cpus - 1
+    assert_no_child_left()
 
 
 class TestBench:

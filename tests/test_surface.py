@@ -57,7 +57,7 @@ def test_all_is_the_pinned_sorted_surface():
 
 def test_cli_import_does_not_load_the_brute_force():
     # Only the `oracle` command imports it, from inside the command, and
-    # only a command that forks imports `houseswap._forked`.  Nor does
+    # only `gen` and a sliced load import `houseswap._forked`.  Nor does
     # any command load `dataclasses`, `inspect` or `typing`; `-S` keeps
     # `site`'s own imports out of the child.
     heavy = [
